@@ -9,7 +9,6 @@
 #include <iostream>
 #include <optional>
 
-#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "esse/cycle.hpp"
 #include "esse/differ.hpp"
@@ -33,11 +32,10 @@ int main() {
   model.run(central, 0.0, 12.0, nullptr);
   esse::Differ differ(central.pack());
   for (std::size_t i = 0; i < n_max; ++i) {
-    ocean::OceanState s(sc.grid);
-    s.unpack(gen.perturbed_state(packed, i), sc.grid);
-    Rng mrng(101 ^ 0xA5A5A5A5ULL, i + 1);
-    model.run(s, 0.0, 12.0, &mrng);
-    differ.add_member(i, s.pack());
+    const la::Vector xf =
+        esse::run_member(model, gen.perturbed_state(packed, i), 0.0, 12.0,
+                         /*stochastic=*/true, /*seed=*/101, i);
+    differ.add_member(i, xf);
   }
 
   Table t("Fig 2: error-subspace convergence vs ensemble size");

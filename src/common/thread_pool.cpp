@@ -73,6 +73,11 @@ std::size_t ThreadPool::thread_count() const {
   return live_;
 }
 
+std::size_t ThreadPool::target_count() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return desired_;
+}
+
 std::future<void> ThreadPool::submit(
     std::function<void(const std::atomic<bool>&)> task) {
   ESSEX_REQUIRE(task != nullptr, "cannot submit an empty task");

@@ -61,8 +61,12 @@ class ThreadPool {
   /// Block until every queued task has finished (or been cancelled).
   void wait_idle();
 
-  /// Live (non-retired) worker threads.
+  /// Live (non-retired) worker threads. Lags target_count() after a
+  /// shrink until the excess workers finish their current task.
   std::size_t thread_count() const;
+
+  /// The worker count last asked for (construction or resize()).
+  std::size_t target_count() const;
 
   /// Number of tasks queued but not yet started.
   std::size_t queued() const;

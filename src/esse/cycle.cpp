@@ -9,15 +9,13 @@
 
 namespace essex::esse {
 
-namespace {
-
-/// Integrate one ensemble member from a packed initial condition.
 la::Vector run_member(const ocean::OceanModel& model,
-                      const la::Vector& packed_initial, double t0_hours,
+                      la::Vector packed_initial, double t0_hours,
                       double forecast_hours, bool stochastic,
                       std::uint64_t seed, std::size_t member_id) {
   ocean::OceanState state(model.grid());
   state.unpack(packed_initial, model.grid());
+  packed_initial = la::Vector();  // dead once unpacked
   if (stochastic) {
     // Stream offset keeps model-noise draws independent of the
     // perturbation draws for the same member id.
@@ -28,8 +26,6 @@ la::Vector run_member(const ocean::OceanModel& model,
   }
   return state.pack();
 }
-
-}  // namespace
 
 la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
                                   const ocean::OceanState& initial,
@@ -99,10 +95,10 @@ ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
     next_id += count;
     if (params.threads <= 1) {
       for (std::size_t id = first; id < first + count; ++id) {
-        la::Vector x0 = pert.perturbed_state(packed_initial, id);
-        la::Vector xf = run_member(model, x0, t0_hours, params.forecast_hours,
-                                   params.stochastic_members,
-                                   params.perturbation.seed, id);
+        la::Vector xf = run_member(
+            model, pert.perturbed_state(packed_initial, id), t0_hours,
+            params.forecast_hours, params.stochastic_members,
+            params.perturbation.seed, id);
         differ.add_member(id, xf);
       }
       return;
@@ -110,10 +106,10 @@ ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
     ThreadPool pool(params.threads);
     for (std::size_t id = first; id < first + count; ++id) {
       pool.submit([&, id] {
-        la::Vector x0 = pert.perturbed_state(packed_initial, id);
-        la::Vector xf = run_member(model, x0, t0_hours, params.forecast_hours,
-                                   params.stochastic_members,
-                                   params.perturbation.seed, id);
+        la::Vector xf = run_member(
+            model, pert.perturbed_state(packed_initial, id), t0_hours,
+            params.forecast_hours, params.stochastic_members,
+            params.perturbation.seed, id);
         differ.add_member(id, xf);
       });
     }

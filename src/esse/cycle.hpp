@@ -108,6 +108,21 @@ struct ForecastResult {
   std::optional<la::Vector> surrogate_forecast;
 };
 
+/// Integrate one ensemble member from a packed initial condition over
+/// [t0_hours, t0_hours + forecast_hours] and return the packed forecast.
+/// A stochastic member feels model noise from the RNG stream
+/// (seed ^ 0xA5A5A5A5, member_id + 1), independent of the perturbation
+/// draws for the same id; otherwise the run is deterministic. The one
+/// member integration shared by every ESSE driver (the serial cycle and
+/// the MTC runner), so a member is the same pure function of
+/// (seed, id) wherever it runs. `packed_initial` is taken by value and
+/// freed once unpacked: callers done with it std::move it in, so a busy
+/// worker does not hold it through the run.
+la::Vector run_member(const ocean::OceanModel& model,
+                      la::Vector packed_initial, double t0_hours,
+                      double forecast_hours, bool stochastic,
+                      std::uint64_t seed, std::size_t member_id);
+
 /// Integrate the multi-model surrogate: a deliberately-biased coarse
 /// companion forecast on the coarsest level of a GridHierarchy built
 /// from the fine model's grid per `analysis` (surrogate_levels /

@@ -128,10 +128,14 @@ Differ::Differ(la::Vector central,
   ESSEX_REQUIRE(tiling_ == nullptr ||
                     tiling_->packed_size() == central_.size(),
                 "tiling does not match the central forecast");
-  // Slabs big enough for several columns each, so a growing ensemble
-  // allocates O(n / slab_cols) times, not O(n).
+  // Slabs of more than one column each, so a growing ensemble
+  // allocates O(n / slab_cols) times, not O(n). Two columns, not more:
+  // members land while a milestone SVD's working set is live, and
+  // the slab's unfilled tail adds straight onto that peak. The 32 KiB
+  // floor only groups tiny states: a larger one would hold a small
+  // grid's columns in one mostly empty slab.
   arena_ = std::make_shared<la::ColumnArena>(
-      std::max<std::size_t>(std::size_t{1} << 16, central_.size() * 8));
+      std::max<std::size_t>(std::size_t{1} << 12, central_.size() * 2));
 }
 
 void Differ::add_member(std::size_t member_id, const la::Vector& forecast,

@@ -70,6 +70,12 @@ class ExecutionBackend {
   /// estimates it from completed attempts).
   virtual double expected_runtime_s() const { return 0.0; }
 
+  /// Shortest attempt timeout the backend's clock can honour; 0 = no
+  /// floor. The fault layer's timeout is a multiple of the expected
+  /// runtime, and a budget inside the clock's own jitter kills healthy
+  /// attempts.
+  virtual double min_timeout_s() const { return 0.0; }
+
   /// Install the terminal-report hook (single slot, not owned).
   virtual void set_report_hook(ReportHook hook) = 0;
 };
@@ -129,6 +135,13 @@ class ThreadExecutionBackend final : public ExecutionBackend {
   double now() const override;
   void after(double delay_s, std::function<void()> fn) override;
   void set_report_hook(ReportHook hook) override;
+
+  /// On the wall clock an attempt can stall for milliseconds without
+  /// being hung (preemption on a loaded host, timer-thread latency). For
+  /// sub-millisecond members a few times the median runtime lies inside
+  /// that jitter, and each healthy attempt it killed would stall its
+  /// request for the retry backoff.
+  double min_timeout_s() const override { return 0.1; }
 
   /// Block until every attempt submitted through this backend has fully
   /// retired from the pool — ran to completion, or was skipped by a

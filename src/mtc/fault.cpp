@@ -105,10 +105,7 @@ void FaultTolerantExecutor::launch(std::size_t member, bool speculative) {
         if (a.number == attempt_no) a.id = id;
       }
     }
-    if (policy_.timeout_multiple > 0.0) {
-      const double expected = expected_runtime_locked();
-      if (expected > 0.0) timeout = policy_.timeout_multiple * expected;
-    }
+    timeout = timeout_locked();
   }
   if (timeout > 0.0) {
     backend_.after(timeout, [this, member, attempt_no] {
@@ -125,6 +122,14 @@ double FaultTolerantExecutor::expected_runtime_locked() const {
     return quantile(durations_, 0.5);
   }
   return 0.0;
+}
+
+double FaultTolerantExecutor::timeout_locked() const {
+  if (policy_.timeout_multiple <= 0.0) return 0.0;
+  const double expected = expected_runtime_locked();
+  if (expected <= 0.0) return 0.0;
+  return std::max(policy_.timeout_multiple * expected,
+                  backend_.min_timeout_s());
 }
 
 double FaultTolerantExecutor::straggler_interval_locked() const {
@@ -208,7 +213,7 @@ void FaultTolerantExecutor::on_timeout(std::size_t member,
         break;
       }
     }
-    timeout = policy_.timeout_multiple * expected_runtime_locked();
+    timeout = timeout_locked();
   }
   if (id == 0 || timeout <= 0.0) return;
   // The timeout budget covers *run* time, not queue wait: a queued (or

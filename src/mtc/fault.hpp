@@ -212,6 +212,8 @@ class FaultTolerantExecutor {
   void launch(std::size_t member, bool speculative);
   void arm_straggler_timer();
   double expected_runtime_locked() const;
+  /// Per-attempt timeout budget; 0 = no timeout.
+  double timeout_locked() const;
   double straggler_interval_locked() const;
   void resolve_locked(MemberState& st, std::size_t member,
                       TaskOutcome outcome);

@@ -23,22 +23,6 @@ Grid3D::Grid3D(std::size_t nx, std::size_t ny, double dx_km, double dy_km,
   }
 }
 
-std::size_t Grid3D::index(std::size_t ix, std::size_t iy,
-                          std::size_t iz) const {
-  ESSEX_ASSERT(ix < nx_ && iy < ny_ && iz < depths_.size(),
-               "grid index out of range");
-  return (iz * ny_ + iy) * nx_ + ix;
-}
-
-std::size_t Grid3D::hindex(std::size_t ix, std::size_t iy) const {
-  ESSEX_ASSERT(ix < nx_ && iy < ny_, "grid hindex out of range");
-  return iy * nx_ + ix;
-}
-
-bool Grid3D::is_water(std::size_t ix, std::size_t iy) const {
-  return water_[hindex(ix, iy)] != 0;
-}
-
 void Grid3D::set_land(std::size_t ix, std::size_t iy) {
   water_[hindex(ix, iy)] = 0;
 }

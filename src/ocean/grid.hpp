@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace essex::ocean {
 
 /// Regional structured grid. ix runs east, iy runs north, iz runs down
@@ -35,14 +37,26 @@ class Grid3D {
   /// Total 3-D points.
   std::size_t points() const { return nx_ * ny_ * depths_.size(); }
 
+  // The three accessors below sit in the header so the model's stencil
+  // loops, which call them for every cell of every step, inline them.
+
   /// Flatten a 3-D index (row-major: iz slowest, then iy, then ix).
-  std::size_t index(std::size_t ix, std::size_t iy, std::size_t iz) const;
+  std::size_t index(std::size_t ix, std::size_t iy, std::size_t iz) const {
+    ESSEX_ASSERT(ix < nx_ && iy < ny_ && iz < depths_.size(),
+                 "grid index out of range");
+    return (iz * ny_ + iy) * nx_ + ix;
+  }
 
   /// Flatten a horizontal index.
-  std::size_t hindex(std::size_t ix, std::size_t iy) const;
+  std::size_t hindex(std::size_t ix, std::size_t iy) const {
+    ESSEX_ASSERT(ix < nx_ && iy < ny_, "grid hindex out of range");
+    return iy * nx_ + ix;
+  }
 
   /// Land/sea mask: true = water. Defaults to all water.
-  bool is_water(std::size_t ix, std::size_t iy) const;
+  bool is_water(std::size_t ix, std::size_t iy) const {
+    return water_[hindex(ix, iy)] != 0;
+  }
   void set_land(std::size_t ix, std::size_t iy);
 
   /// Count of water columns.

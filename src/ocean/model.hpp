@@ -83,14 +83,37 @@ class OceanModel {
   void diagnose_currents(OceanState& state, double t_hours) const;
 
  private:
-  void apply_stochastic_forcing(OceanState& state, double dt_hours,
-                                Rng& rng) const;
+  /// A span [x_lo, x_hi) of one grid row whose cells and their four
+  /// horizontal neighbours are all in range and water: the stencils there
+  /// need no bounds or land checks (DESIGN.md §17).
+  struct InteriorRun {
+    std::size_t x_lo, x_hi;
+  };
+  /// Step buffers owned by one run()/step() call (defined in model.cpp).
+  struct Scratch;
+
+  /// One step. `currents_fresh` skips the leading diagnose_currents when
+  /// the state's currents were already diagnosed at `t_hours`.
+  void advance(OceanState& state, double t_hours, double dt_hours, Rng* rng,
+               Scratch& scratch, bool currents_fresh) const;
+  void apply_stochastic_forcing(OceanState& state, double dt_hours, Rng& rng,
+                                Scratch& scratch) const;
   void relax_boundaries(OceanState& state, double dt_seconds) const;
+
+  /// Interior runs of row iy: runs_[row_runs_[iy] .. row_runs_[iy + 1]).
+  const InteriorRun* row_begin(std::size_t iy) const {
+    return runs_.data() + row_runs_[iy];
+  }
+  const InteriorRun* row_end(std::size_t iy) const {
+    return runs_.data() + row_runs_[iy + 1];
+  }
 
   Grid3D grid_;
   ModelParams params_;
   WindForcing forcing_;
   OceanState climatology_;
+  std::vector<InteriorRun> runs_;      ///< every row's runs, row by row
+  std::vector<std::size_t> row_runs_;  ///< ny + 1 offsets into runs_
 };
 
 }  // namespace essex::ocean

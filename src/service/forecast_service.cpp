@@ -252,8 +252,13 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
   if (config_.elastic) update_demand(rec->id, 0);  // hand slots back
   const double t_end = now_s();
   RequestState final_state;
+  bool missed = false;
   {
-    std::lock_guard<std::mutex> lk(rec->mu);
+    // Seal the record and count its outcome in one critical section, so
+    // a caller woken by its handle already sees the outcome in stats().
+    // Lock order mu_ -> rec->mu, as in the dispatcher.
+    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> rlk(rec->mu);
     rec->finished_s = t_end;
     if (err) {
       rec->state = RequestState::kFailed;
@@ -266,11 +271,6 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
       rec->has_result = true;
     }
     final_state = rec->state;
-  }
-  rec->cv.notify_all();
-  bool missed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
     --inflight_;
     running_records_.erase(rec->id);
     switch (final_state) {
@@ -284,6 +284,7 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
       default: ++stats_.cancelled; break;
     }
   }
+  rec->cv.notify_all();
   cv_.notify_all();
   if (telemetry::Sink* sink = config_.sink) {
     sink->count("service." + to_string(final_state));
@@ -311,13 +312,10 @@ void ForecastService::apply_demand_locked() {
   if (!member_pool_) return;
   std::size_t total = 0;
   for (const auto& [id, want] : demands_) total += want;
-  const std::size_t target =
-      std::clamp(std::max(total, std::size_t{1}), config_.min_workers,
-                 config_.max_workers);
-  const std::size_t current = member_pool_->thread_count();
-  if (target == current) return;
-  member_pool_->resize(target);
-  if (target > current) {
+  const auto [previous, target] = detail::resize_to_demand(
+      *member_pool_, total, config_.min_workers, config_.max_workers);
+  if (target == previous) return;
+  if (target > previous) {
     grow_events_.fetch_add(1, std::memory_order_relaxed);
   } else {
     shrink_events_.fetch_add(1, std::memory_order_relaxed);
@@ -404,6 +402,21 @@ ServiceStats ForecastService::stats() const {
   out.peak_workers = peak_workers_.load(std::memory_order_relaxed);
   return out;
 }
+
+namespace detail {
+
+PoolResize resize_to_demand(ThreadPool& pool, std::size_t demand,
+                            std::size_t min_workers,
+                            std::size_t max_workers) {
+  PoolResize r;
+  r.previous = pool.target_count();
+  r.target = std::clamp(std::max(demand, std::size_t{1}), min_workers,
+                        max_workers);
+  if (r.target != r.previous) pool.resize(r.target);
+  return r;
+}
+
+}  // namespace detail
 
 double deadline_from_timeline(const workflow::ForecastTimeline& timeline,
                               std::size_t k, double now_s,

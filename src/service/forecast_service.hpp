@@ -223,6 +223,26 @@ class ForecastService {
   std::thread dispatcher_;
 };
 
+namespace detail {
+
+/// One decision of the elastic member pool's resize rule.
+struct PoolResize {
+  std::size_t previous = 0;  ///< the pool's target_count() before
+  std::size_t target = 0;    ///< the target it has now
+};
+
+/// The elastic member pool's resize rule (ForecastService's, visible for
+/// tests): move `pool` to `demand` member workers clamped to
+/// [min_workers, max_workers] (and to at least 1). It compares against
+/// the pool's target_count(), read once, not its live count: after a
+/// shrink, busy workers stay live until their task ends, and a new
+/// demand equal to that stale live count must still regrow the pool.
+PoolResize resize_to_demand(ThreadPool& pool, std::size_t demand,
+                            std::size_t min_workers,
+                            std::size_t max_workers);
+
+}  // namespace detail
+
 /// Absolute service-clock deadline for procedure `k` of a timeline: the
 /// procedure's forecaster window τ_end − τ_start (hours) scaled by
 /// `service_seconds_per_hour` and anchored at `now_s`. The Fig.-1 contract

@@ -61,6 +61,7 @@ class MockBackend final : public ExecutionBackend {
   }
 
   double expected_runtime_s() const override { return expected; }
+  double min_timeout_s() const override { return min_timeout; }
   void set_report_hook(ReportHook hook) override { hook_ = std::move(hook); }
 
   // -- test controls --
@@ -96,6 +97,7 @@ class MockBackend final : public ExecutionBackend {
   }
 
   double expected = 0.0;
+  double min_timeout = 0.0;
   std::vector<TaskId> submissions;
   std::vector<TaskId> cancelled;
 
@@ -219,6 +221,23 @@ TEST(FaultExecutor, TimeoutBudgetCoversRunTimeNotQueueWait) {
   EXPECT_EQ(st.retries, 1u);
   be.advance(6.0);  // backoff base
   EXPECT_EQ(be.submissions.size(), 2u);
+}
+
+TEST(FaultExecutor, TimeoutBudgetNeverDropsBelowTheBackendFloor) {
+  MockBackend be;
+  be.expected = 10.0;
+  be.min_timeout = 50.0;  // the clock cannot honour the 20 s budget
+  FaultPolicy p = no_jitter_policy();
+  p.timeout_multiple = 2.0;
+  FaultTolerantExecutor exec(be, p);
+
+  exec.run_member(0);
+  be.start(be.submissions[0]);
+  be.advance(49.0);  // past 2 × expected, inside the floor: still alive
+  EXPECT_TRUE(be.cancelled.empty());
+  be.advance(1.0);
+  ASSERT_EQ(be.cancelled.size(), 1u);
+  EXPECT_EQ(exec.stats().timeouts, 1u);
 }
 
 struct SpeculationSetup {

@@ -87,6 +87,11 @@ struct InstanceExpect {
   double cores;
 };
 
+// Name each case after its instance. The default printer dumps the raw bytes,
+// and with them the string literal's address, so the discovered test names
+// would change from build to build.
+void PrintTo(const InstanceExpect& e, std::ostream* os) { *os << e.name; }
+
 class Ec2Table2 : public ::testing::TestWithParam<InstanceExpect> {};
 
 TEST_P(Ec2Table2, ModelReproducesMeasuredTimes) {

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/proptest.hpp"
 #include "common/rng.hpp"
 #include "linalg/stats.hpp"
 #include "ocean/forcing.hpp"
@@ -12,6 +18,7 @@
 #include "ocean/model.hpp"
 #include "ocean/monterey.hpp"
 #include "ocean/state.hpp"
+#include "testkit/reference_model.hpp"
 
 namespace essex::ocean {
 namespace {
@@ -267,6 +274,186 @@ TEST(OceanModel, RunSubstepsToRequestedDuration) {
   const std::size_t steps = model.run(s, 0.0, 5.0, nullptr);
   EXPECT_GE(steps, static_cast<std::size_t>(
                        std::ceil(5.0 / model.max_stable_dt_hours()) - 1));
+}
+
+// ---- bitwise oracle: optimised propagator vs the frozen reference ----------------
+
+// One generated propagator case. The mask is row-major, 1 = land.
+struct PropagatorCase {
+  std::size_t nx = 3, ny = 3, nz = 1;
+  std::vector<char> land;
+  double dx_km = 2.0, dy_km = 2.0;
+  double t0_hours = 0.0;
+  double steps = 1.0;  ///< run length in stable steps (fractional tail)
+  bool noise = false;
+  std::uint64_t seed = 0;
+};
+
+std::string describe_case(const PropagatorCase& c) {
+  std::ostringstream os;
+  os << c.nx << "x" << c.ny << "x" << c.nz << " t0=" << c.t0_hours
+     << " steps=" << c.steps << " noise=" << c.noise << " mask:";
+  for (std::size_t iy = 0; iy < c.ny; ++iy) {
+    os << ' ';
+    for (std::size_t ix = 0; ix < c.nx; ++ix)
+      os << (c.land[iy * c.nx + ix] ? '#' : '.');
+  }
+  return os.str();
+}
+
+testkit::Gen<PropagatorCase> gen_propagator_case() {
+  testkit::Gen<PropagatorCase> g;
+  g.create = [](Rng& rng) {
+    PropagatorCase c;
+    const bool minimal = rng.uniform() < 0.2;  // 3x3: no interior runs
+    c.nx = minimal ? 3 : 3 + rng.uniform_index(12);
+    c.ny = minimal ? 3 : 3 + rng.uniform_index(10);
+    c.nz = 1 + rng.uniform_index(4);  // nz = 1 skips vertical diffusion
+    c.land.assign(c.nx * c.ny, 0);
+    const double p_land = 0.25 * rng.uniform();
+    for (char& l : c.land) l = rng.uniform() < p_land;
+    if (rng.uniform() < 0.5) {  // a coast along (part of) the east edge
+      for (std::size_t iy = rng.uniform_index(c.ny); iy < c.ny; ++iy)
+        c.land[iy * c.nx + c.nx - 1] = 1;
+    }
+    if (c.nx > 4 && c.ny > 2) {  // land splitting an interior row
+      const std::size_t iy = 1 + rng.uniform_index(c.ny - 2);
+      const std::size_t ix = 2 + rng.uniform_index(c.nx - 4);
+      c.land[iy * c.nx + ix] = 1;
+    }
+    c.dx_km = rng.uniform(1.0, 4.0);
+    c.dy_km = rng.uniform(1.0, 4.0);
+    c.t0_hours = rng.uniform(0.0, 96.0);  // upwelling and relaxation
+    c.steps = rng.uniform(1.0, 4.5);
+    c.noise = rng.uniform() < 0.5;
+    c.seed = rng();
+    return c;
+  };
+  g.describe = describe_case;
+  return g;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool bitwise_equal(const OceanState& a, const OceanState& b) {
+  return bitwise_equal(a.temperature, b.temperature) &&
+         bitwise_equal(a.salinity, b.salinity) && bitwise_equal(a.u, b.u) &&
+         bitwise_equal(a.v, b.v) && bitwise_equal(a.ssh, b.ssh);
+}
+
+// Everything a case integrates: grid, model and a random initial state
+// whose SSH bumps drive currents of both signs in u and v.
+struct PropagatorSetup {
+  explicit PropagatorSetup(const PropagatorCase& c)
+      : grid(make_grid(c)),
+        initial(random_state(grid, c.seed)),
+        model(grid, ModelParams{}, WindForcing(),
+              random_state(grid, c.seed + 1)) {}
+
+  static Grid3D make_grid(const PropagatorCase& c) {
+    const double levels[] = {0.0, 15.0, 60.0, 150.0};
+    Grid3D g(c.nx, c.ny, c.dx_km, c.dy_km,
+             std::vector<double>(levels, levels + c.nz));
+    for (std::size_t iy = 0; iy < c.ny; ++iy)
+      for (std::size_t ix = 0; ix < c.nx; ++ix)
+        if (c.land[iy * c.nx + ix]) g.set_land(ix, iy);
+    return g;
+  }
+
+  static OceanState random_state(const Grid3D& g, std::uint64_t seed) {
+    OceanState s(g);
+    Rng rng(seed, 99);
+    for (double& x : s.temperature) x = 12.0 + 3.0 * rng.normal();
+    for (double& x : s.salinity) x = 33.5 + 0.2 * rng.normal();
+    for (double& x : s.ssh) x = 0.02 * rng.normal();
+    for (double& x : s.u) x = 0.3 * rng.normal();
+    for (double& x : s.v) x = 0.3 * rng.normal();
+    return s;
+  }
+
+  Grid3D grid;
+  OceanState initial;
+  OceanModel model;
+};
+
+TEST(OceanModelOracle, RunIsBitwiseEqualToTheFrozenReference) {
+  testkit::PropConfig cfg;
+  cfg.name = "OceanModel::run == reference_ocean_run";
+  cfg.cases = 200;
+  const auto r = testkit::check(cfg, gen_propagator_case(),
+                                [](const PropagatorCase& c) {
+    PropagatorSetup su(c);
+    const double hours = c.steps * su.model.max_stable_dt_hours();
+    OceanState fast = su.initial, ref = su.initial;
+    Rng rng_fast(c.seed, 3), rng_ref(c.seed, 3);
+    const std::size_t n_fast = su.model.run(fast, c.t0_hours, hours,
+                                            c.noise ? &rng_fast : nullptr);
+    const std::size_t n_ref = testkit::reference_ocean_run(
+        su.model, ref, c.t0_hours, hours, c.noise ? &rng_ref : nullptr);
+    // Same state, same step count, same number of noise draws consumed.
+    return n_fast == n_ref && bitwise_equal(fast, ref) &&
+           rng_fast() == rng_ref();
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+  EXPECT_EQ(r.cases_run, cfg.cases);
+}
+
+TEST(OceanModelOracle, StepIsBitwiseEqualToTheFrozenReference) {
+  testkit::PropConfig cfg;
+  cfg.name = "OceanModel::step == reference_ocean_step";
+  cfg.cases = 200;
+  const auto r = testkit::check(cfg, gen_propagator_case(),
+                                [](const PropagatorCase& c) {
+    PropagatorSetup su(c);
+    // A fraction of the stable step, so dt varies from case to case.
+    const double dt = su.model.max_stable_dt_hours() * (c.steps - 1.0) / 3.5;
+    if (dt <= 0.0) return true;
+    OceanState fast = su.initial, ref = su.initial;
+    Rng rng_fast(c.seed, 5), rng_ref(c.seed, 5);
+    su.model.step(fast, c.t0_hours, dt, c.noise ? &rng_fast : nullptr);
+    testkit::reference_ocean_step(su.model, ref, c.t0_hours, dt,
+                                  c.noise ? &rng_ref : nullptr);
+    return bitwise_equal(fast, ref) && rng_fast() == rng_ref();
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(OceanModelOracle, GeneratedCasesCoverTheStencilEdges) {
+  // The generator must reach the corners the fast path special-cases:
+  // minimal grids, nz = 1, land inside interior rows, an east coast, and
+  // currents of both signs in u and v.
+  const auto gen = gen_propagator_case();
+  bool minimal = false, single_level = false, inner_land = false;
+  bool east_coast = false, u_pos = false, u_neg = false, v_pos = false,
+       v_neg = false;
+  for (std::size_t i = 0; i < 200; ++i) {
+    Rng rng(testkit::case_seed(testkit::PropConfig{}.seed, i));
+    const PropagatorCase c = gen.create(rng);
+    minimal |= c.nx == 3 && c.ny == 3;
+    single_level |= c.nz == 1;
+    for (std::size_t iy = 1; iy + 1 < c.ny; ++iy) {
+      east_coast |= c.land[iy * c.nx + c.nx - 1] != 0;
+      for (std::size_t ix = 1; ix + 1 < c.nx; ++ix)
+        inner_land |= c.land[iy * c.nx + ix] != 0;
+    }
+    PropagatorSetup su(c);
+    OceanState s = su.initial;
+    su.model.diagnose_currents(s, c.t0_hours);
+    for (std::size_t k = 0; k < s.u.size(); ++k) {
+      u_pos |= s.u[k] > 0;
+      u_neg |= s.u[k] < 0;
+      v_pos |= s.v[k] > 0;
+      v_neg |= s.v[k] < 0;
+    }
+  }
+  EXPECT_TRUE(minimal);
+  EXPECT_TRUE(single_level);
+  EXPECT_TRUE(inner_land);
+  EXPECT_TRUE(east_coast);
+  EXPECT_TRUE(u_pos && u_neg && v_pos && v_neg);
 }
 
 // ---- scenario factories -------------------------------------------------------

@@ -8,9 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,6 +424,49 @@ TEST(ThreadPoolResize, WorkersJoinAndLeaveWithoutDroppingTasks) {
   EXPECT_THROW(pool.resize(0), PreconditionError);
 }
 
+TEST(ThreadPoolResize, ShrinkWhileBusyThenReDemandRegrowsThePool) {
+  // Clock-free: both workers park on a gate, so the shrink below lands
+  // while they are busy and cannot retire.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t parked = 0;
+  bool release = false;
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 2; ++i) {
+    futs.push_back(pool.submit([&] {
+      std::unique_lock<std::mutex> lk(mu);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lk, [&] { return release; });
+    }));
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return parked == 2; });
+  }
+  using detail::resize_to_demand;
+  EXPECT_EQ(resize_to_demand(pool, 1, 1, 2).target, 1u);  // demand drops
+  EXPECT_EQ(pool.target_count(), 1u);
+  EXPECT_EQ(pool.thread_count(), 2u);  // busy workers are still live
+  // Demand returns to exactly the stale live count. Comparing against the
+  // live count called this "already met" and left the target at 1, so the
+  // pool drained to one worker under full demand.
+  const detail::PoolResize regrow = resize_to_demand(pool, 2, 1, 2);
+  EXPECT_EQ(regrow.previous, 1u);
+  EXPECT_EQ(regrow.target, 2u);
+  EXPECT_EQ(pool.target_count(), 2u);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (auto& f : futs) f.get();
+  EXPECT_EQ(pool.thread_count(), 2u);  // target == live: nobody retires
+  EXPECT_EQ(resize_to_demand(pool, 9, 1, 2).target, 2u);  // clamped
+  EXPECT_EQ(resize_to_demand(pool, 0, 1, 2).target, 1u);  // at least one
+}
+
 // ---- the real server ------------------------------------------------------------
 
 struct ServiceFixture : ::testing::Test {
@@ -497,6 +542,25 @@ TEST_F(ServiceFixture, ConcurrentRequestsMatchTheOneShotPathBitwise) {
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.admitted, 2u);
   EXPECT_EQ(st.completed, 2u);
+}
+
+TEST_F(ServiceFixture, StatsCountEveryDoneHandleWithoutDrain) {
+  ServiceConfig cfg;
+  cfg.min_workers = cfg.max_workers = cfg.initial_workers = 2;
+  cfg.max_inflight = 2;
+  cfg.elastic = false;
+  ForecastService svc(cfg);
+  const ServiceRequest req = wrap(quick_request());
+  std::vector<ForecastHandle> handles;
+  for (int i = 0; i < 6; ++i) handles.push_back(svc.submit(req));
+  std::size_t done = 0;
+  for (const ForecastHandle& h : handles) {
+    if (h.wait() == RequestState::kDone) ++done;
+  }
+  // No drain(): a handle only wakes once its outcome is counted.
+  EXPECT_EQ(done, handles.size());
+  EXPECT_EQ(svc.stats().completed, done);
+  svc.shutdown();
 }
 
 TEST_F(ServiceFixture, InvalidRequestsGetStructuredRejections) {
