@@ -14,6 +14,7 @@
 #include "esse/differ.hpp"
 #include "esse/tangent.hpp"
 #include "ocean/monterey.hpp"
+#include "workflow/parallel_runner.hpp"
 
 int main() {
   using namespace essex;
@@ -61,15 +62,15 @@ int main() {
             << " — rho rises toward 1 as N grows (Fig. 2's convergence "
                "test), while the retained rank stabilises.\n";
 
-  // Adaptive-size trace from the production driver.
-  esse::CycleParams params;
-  params.forecast_hours = 12.0;
-  params.ensemble = {16, 2.0, 96};
-  params.convergence = {0.97, 12};
-  params.check_interval = 8;
-  params.max_rank = 24;
-  esse::ForecastResult fr = esse::run_uncertainty_forecast(
-      model, sc.initial, nowcast, 0.0, params);
+  // Adaptive-size trace from the production runner.
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 12.0;
+  cfg.cycle.ensemble = {16, 2.0, 96};
+  cfg.cycle.convergence = {0.97, 12};
+  cfg.cycle.max_rank = 24;
+  cfg.svd_min_new_members = 8;
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{model, sc.initial, nowcast, 0.0, cfg});
   std::cout << "\nadaptive driver: ran " << fr.members_run
             << " members, converged=" << (fr.converged ? "yes" : "no")
             << "; history:\n";

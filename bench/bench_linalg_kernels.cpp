@@ -212,7 +212,8 @@ int main(int argc, char** argv) {
     rows.push_back(bench(
         "analysis_update", "dim 24000, rank 32, 64 obs",
         static_cast<double>(2 * kM * rank * sizeof(double)), reps, [&] {
-          const esse::AnalysisResult r = esse::analyze_linear(forecast, sub, obs);
+          const esse::AnalysisResult r =
+              esse::analyze(forecast, sub, esse::ObsSet::from_linear(obs));
           if (r.posterior_state.size() != kM) std::abort();
         }));
   }

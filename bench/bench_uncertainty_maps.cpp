@@ -13,6 +13,7 @@
 #include "common/table.hpp"
 #include "esse/cycle.hpp"
 #include "ocean/monterey.hpp"
+#include "workflow/parallel_runner.hpp"
 
 int main() {
   using namespace essex;
@@ -24,15 +25,15 @@ int main() {
   esse::ErrorSubspace nowcast = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 24.0, 20, 0.99, 16, /*seed=*/2003);
 
-  esse::CycleParams params;
-  params.forecast_hours = 48.0;
-  params.ensemble = {20, 2.0, 60};
-  params.convergence = {0.97, 16};
-  params.check_interval = 10;
-  params.max_rank = 20;
-  params.perturbation.white_noise = 0.01;
-  esse::ForecastResult fr = esse::run_uncertainty_forecast(
-      model, sc.initial, nowcast, 0.0, params);
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 48.0;
+  cfg.cycle.ensemble = {20, 2.0, 60};
+  cfg.cycle.convergence = {0.97, 16};
+  cfg.cycle.max_rank = 20;
+  cfg.cycle.perturbation.white_noise = 0.01;
+  cfg.svd_min_new_members = 10;
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{model, sc.initial, nowcast, 0.0, cfg});
   const la::Vector sd = fr.forecast_subspace.marginal_stddev();
 
   auto level_map = [&](std::size_t level) {

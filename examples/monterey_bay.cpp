@@ -17,6 +17,7 @@
 #include "esse/cycle.hpp"
 #include "obs/instruments.hpp"
 #include "ocean/monterey.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace {
 
@@ -59,17 +60,17 @@ int main(int argc, char** argv) {
               nowcast.total_variance());
 
   // ESSE uncertainty forecast, 48 h ahead, adaptive ensemble size.
-  esse::CycleParams params;
-  params.forecast_hours = 48.0;
-  params.ensemble = {24, 2.0, 96};
-  params.convergence = {0.97, 16};
-  params.check_interval = 8;
-  params.max_rank = 24;
-  params.perturbation.white_noise = 0.01;  // truncated-tail noise (§6)
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 48.0;
+  cfg.cycle.ensemble = {24, 2.0, 96};
+  cfg.cycle.convergence = {0.97, 16};
+  cfg.cycle.max_rank = 24;
+  cfg.cycle.perturbation.white_noise = 0.01;  // truncated-tail noise (§6)
+  cfg.svd_min_new_members = 8;
 
   std::printf("running the ensemble forecast...\n");
-  esse::ForecastResult fr = esse::run_uncertainty_forecast(
-      model, sc.initial, nowcast, 0.0, params);
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{model, sc.initial, nowcast, 0.0, cfg});
   std::printf("  %zu members, converged: %s\n", fr.members_run,
               fr.converged ? "yes" : "no");
 

@@ -3,7 +3,8 @@
 //
 //   1. build a scenario (grid + initial state + model),
 //   2. bootstrap an initial error subspace from a stochastic ensemble,
-//   3. run the ensemble uncertainty forecast (Fig. 2 of the paper),
+//   3. run the ensemble uncertainty forecast (Fig. 2 of the paper) on
+//      the Fig.-4 runner,
 //   4. assimilate synthetic CTD data from an identical-twin "truth",
 //   5. print the innovation and error-variance reduction.
 //
@@ -15,6 +16,7 @@
 #include "linalg/stats.hpp"
 #include "obs/instruments.hpp"
 #include "ocean/monterey.hpp"
+#include "workflow/parallel_runner.hpp"
 
 int main() {
   using namespace essex;
@@ -69,15 +71,16 @@ int main() {
 
   // 3+4. ESSE cycle: adaptive ensemble forecast, then the subspace
   // Kalman update.
-  esse::CycleParams params;
-  params.forecast_hours = 24.0;
-  params.ensemble = {16, 2.0, 64};
-  params.convergence = {0.97, 12};
-  params.check_interval = 8;
-  params.max_rank = 16;
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 24.0;
+  cfg.cycle.ensemble = {16, 2.0, 64};
+  cfg.cycle.convergence = {0.97, 12};
+  cfg.cycle.max_rank = 16;
+  cfg.svd_min_new_members = 8;
 
-  esse::CycleResult res = esse::run_assimilation_cycle(
-      model, sc.initial, subspace, 0.0, h, params);
+  const workflow::CycleOutcome res = workflow::run_assimilation_cycle(
+      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg},
+      esse::ObsSet::from_operator(h));
 
   // 5. Report.
   std::printf("\nensemble: %zu members run, converged: %s\n",

@@ -35,10 +35,10 @@ int main() {
   std::printf("%s\n", tl.render().c_str());
 
   RealtimeConfig cfg;
-  cfg.cycle.ensemble = {12, 2.0, 24};
-  cfg.cycle.convergence = {0.96, 10};
-  cfg.cycle.check_interval = 6;
-  cfg.cycle.max_rank = 10;
+  cfg.cycle.cycle.ensemble = {12, 2.0, 24};
+  cfg.cycle.cycle.convergence = {0.96, 10};
+  cfg.cycle.cycle.max_rank = 10;
+  cfg.cycle.svd_min_new_members = 6;
   cfg.max_rank = 10;
 
   RealtimeReport report =

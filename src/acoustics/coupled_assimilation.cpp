@@ -58,7 +58,7 @@ CoupledAnalysis assimilate_coupled(
   }
 
   const esse::AnalysisResult res =
-      esse::analyze_linear(joint, covariance.modes, lin);
+      esse::analyze(joint, covariance.modes, esse::ObsSet::from_linear(lin));
 
   CoupledAnalysis out;
   out.temperature.resize(np);

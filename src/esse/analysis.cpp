@@ -332,9 +332,9 @@ void build_he(la::Matrix& he, const ObsSet& obs, const la::Matrix& modes,
 
 /// The historical dense path over the whole domain, generalized over the
 /// self-contained methods. The HE/innovation arithmetic accumulates in
-/// stencil order, exactly as the ObsOperator and analyze_linear front
-/// ends did, so the default method stays bitwise unchanged through the
-/// ObsSet adapters.
+/// stencil order, exactly as the pre-ObsSet ObsOperator and linear
+/// front ends did, so the default method stays bitwise unchanged through
+/// the ObsSet adapters.
 AnalysisResult analyze_global(const la::Vector& forecast,
                               const ErrorSubspace& subspace,
                               const ObsSet& obs,
@@ -509,13 +509,6 @@ AnalysisResult analyze(const la::Vector& forecast,
                        const AnalysisOptions& options) {
   ESSEX_REQUIRE(h.count() > 0, "analysis needs at least one observation");
   return analyze(forecast, subspace, ObsSet::from_operator(h), options);
-}
-
-AnalysisResult analyze_linear(const la::Vector& forecast,
-                              const ErrorSubspace& subspace,
-                              const std::vector<LinearObservation>& obs,
-                              const AnalysisOptions& options) {
-  return analyze(forecast, subspace, ObsSet::from_linear(obs), options);
 }
 
 }  // namespace essex::esse

@@ -13,8 +13,9 @@
 // bitwise identical to the pre-redesign path) or to the tiled, localized
 // engine of local_analysis.cpp (DESIGN.md §14): per-tile k×k solves with
 // Gaspari–Cohn observation tapering, blended across halos with
-// partition-of-unity weights. The pre-redesign signatures survive as
-// thin forwarding wrappers over the ObsSet adapters.
+// partition-of-unity weights. Generic linear observations enter through
+// ObsSet::from_linear; the gridded obs::ObsOperator signature survives
+// as one thin forwarding wrapper over ObsSet::from_operator.
 #pragma once
 
 #include <optional>
@@ -167,14 +168,6 @@ AnalysisResult analyze(const la::Vector& forecast,
                        const ErrorSubspace& subspace,
                        const obs::ObsOperator& h,
                        const AnalysisOptions& options = {});
-
-/// Thin forwarding wrapper (pre-redesign signature): update against
-/// generic linear observations. Stencil indices must lie inside the
-/// state dimension and variances must be positive.
-AnalysisResult analyze_linear(const la::Vector& forecast,
-                              const ErrorSubspace& subspace,
-                              const std::vector<LinearObservation>& obs,
-                              const AnalysisOptions& options = {});
 
 /// The combined observation set the multi-model method assimilates: the
 /// real observations followed by the surrogate's pseudo-observations in

@@ -1,9 +1,6 @@
 #include "esse/cycle.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
 #include "ocean/hierarchy.hpp"
 
@@ -56,150 +53,6 @@ la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
   if (analysis.surrogate_bias != 0.0)
     for (double& v : fine) v += analysis.surrogate_bias;
   return fine;
-}
-
-ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
-                                        const ocean::OceanState& initial,
-                                        const ErrorSubspace& initial_subspace,
-                                        double t0_hours,
-                                        const CycleParams& params) {
-  ESSEX_REQUIRE(params.forecast_hours > 0, "forecast length must be > 0");
-  ESSEX_REQUIRE(params.check_interval >= 1, "check interval must be >= 1");
-  const la::Vector packed_initial = initial.pack();
-  ESSEX_REQUIRE(packed_initial.size() == initial_subspace.dim(),
-                "initial subspace does not match the state dimension");
-
-  // Central (unperturbed, deterministic) forecast.
-  la::Vector central = run_member(model, packed_initial, t0_hours,
-                                  params.forecast_hours, false,
-                                  params.perturbation.seed, 0);
-
-  PerturbationGenerator pert(initial_subspace, params.perturbation);
-  // Localized cycles shard the differ's column store by the analysis
-  // tiling, so the forecast-stage Gram reductions use the same fixed
-  // per-tile shapes the tiled analysis does.
-  std::shared_ptr<const ocean::Tiling> tiling;
-  if (params.localization.enabled)
-    tiling = std::make_shared<const ocean::Tiling>(model.grid(),
-                                                   params.tiling);
-  Differ differ(central, tiling);
-  differ.set_sink(params.sink);  // differ.* cache counters + check latency
-  ConvergenceTest conv(params.convergence);
-  EnsembleSizeController sizer(params.ensemble);
-
-  ForecastResult out;
-  std::size_t next_id = 0;
-
-  auto run_block = [&](std::size_t count) {
-    const std::size_t first = next_id;
-    next_id += count;
-    if (params.threads <= 1) {
-      for (std::size_t id = first; id < first + count; ++id) {
-        la::Vector xf = run_member(
-            model, pert.perturbed_state(packed_initial, id), t0_hours,
-            params.forecast_hours, params.stochastic_members,
-            params.perturbation.seed, id);
-        differ.add_member(id, xf);
-      }
-      return;
-    }
-    ThreadPool pool(params.threads);
-    for (std::size_t id = first; id < first + count; ++id) {
-      pool.submit([&, id] {
-        la::Vector xf = run_member(
-            model, pert.perturbed_state(packed_initial, id), t0_hours,
-            params.forecast_hours, params.stochastic_members,
-            params.perturbation.seed, id);
-        differ.add_member(id, xf);
-      });
-    }
-    pool.wait_idle();
-  };
-
-  // Staged growth loop: run blocks of check_interval members up to the
-  // current target; test convergence after each block.
-  for (;;) {
-    while (differ.count() < sizer.target()) {
-      const std::size_t block =
-          std::min(params.check_interval, sizer.target() - differ.count());
-      run_block(block);
-      if (differ.count() >= 2) {
-        ErrorSubspace sub = differ.subspace(params.variance_fraction,
-                                            params.max_rank);
-        const auto rho = conv.update(sub, differ.count());
-        if (params.sink) {
-          // Convergence samples as a metric stream: t is the ensemble
-          // size the estimate used, value the similarity coefficient ρ.
-          params.sink->count("esse.convergence_checks");
-          if (rho) {
-            params.sink->event("esse.convergence",
-                               static_cast<double>(differ.count()), *rho);
-            params.sink->observe("esse.similarity", *rho);
-          }
-        }
-        if (conv.converged()) break;
-      }
-    }
-    if (conv.converged() || sizer.at_max()) break;
-    sizer.grow();
-  }
-
-  out.central_forecast = std::move(central);
-  out.forecast_subspace =
-      differ.subspace(params.variance_fraction, params.max_rank);
-  out.members_run = differ.count();
-  out.converged = conv.converged();
-  out.convergence_history = conv.history();
-  if (params.analysis.method == AnalysisMethod::kMultiModel) {
-    out.surrogate_forecast = run_surrogate_forecast(
-        model, initial, t0_hours, params.forecast_hours, params.analysis);
-    if (params.sink) params.sink->count("esse.surrogate_runs");
-  }
-  if (params.sink) {
-    params.sink->count("esse.members_run",
-                       static_cast<double>(out.members_run));
-    params.sink->gauge_set("esse.converged", out.converged ? 1.0 : 0.0);
-    params.sink->gauge_set("esse.subspace_rank",
-                           static_cast<double>(out.forecast_subspace.rank()));
-  }
-  return out;
-}
-
-CycleResult run_assimilation_cycle(const ocean::OceanModel& model,
-                                   const ocean::OceanState& initial,
-                                   const ErrorSubspace& initial_subspace,
-                                   double t0_hours,
-                                   const obs::ObsOperator& h,
-                                   const CycleParams& params) {
-  CycleResult out;
-  out.forecast = run_uncertainty_forecast(model, initial, initial_subspace,
-                                          t0_hours, params);
-  // Graceful degradation has a floor: an analysis against a subspace
-  // estimated from too few surviving members would be noise.
-  ESSEX_REQUIRE(out.forecast.members_run >= params.min_analysis_members,
-                "analysis refused: fewer surviving members than the "
-                "min_analysis_members floor");
-  AnalysisOptions options;
-  options.localization = params.localization;
-  options.tiling = params.tiling;
-  options.threads = params.threads;
-  options.grid = &model.grid();
-  options.method = params.analysis.method;
-  options.sink = params.sink;
-  if (params.analysis.method == AnalysisMethod::kMultiModel) {
-    ESSEX_REQUIRE(out.forecast.surrogate_forecast.has_value(),
-                  "multi-model analysis needs the surrogate forecast");
-    options.multi_model.surrogate = &*out.forecast.surrogate_forecast;
-    options.multi_model.stride = params.analysis.pseudo_obs_stride;
-    options.multi_model.variance_inflation =
-        params.analysis.pseudo_variance_inflation;
-    options.multi_model.variance_floor =
-        params.analysis.pseudo_variance_floor;
-  }
-  out.analysis = analyze(out.forecast.central_forecast,
-                         out.forecast.forecast_subspace,
-                         ObsSet::from_operator(h), options);
-  return out;
 }
 
 ErrorSubspace bootstrap_subspace(const ocean::OceanModel& model,

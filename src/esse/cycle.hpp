@@ -1,10 +1,14 @@
-// ESSEX: the ESSE forecast/assimilation cycle (paper Fig. 2).
+// ESSEX: the numerics of one ESSE forecast/assimilation cycle (paper
+// Fig. 2) — the cycle's knobs and result types, the one member
+// integration, the multi-model surrogate run and the error-nowcast
+// bootstrap.
 //
-// This is the *scientific* driver: perturb → ensemble forecast → differ →
-// SVD → convergence test → (optionally) assimilate, all in-process with
-// an optional thread pool. The MTC execution semantics of Fig. 4 —
-// schedulers, I/O staging, cancellation policies — live in src/workflow;
-// both layers share these numerics.
+// The loop that drives them (perturb → ensemble forecast → differ → SVD
+// → convergence test → assimilate) is the Fig.-4 runner:
+// workflow::run_parallel_forecast and workflow::run_assimilation_cycle
+// (workflow/parallel_runner.hpp). The only other ensemble loop is the
+// Fig.-3 serial reference the differential oracle compares it against
+// (testkit::serial_reference_forecast).
 #pragma once
 
 #include <cstddef>
@@ -18,12 +22,7 @@
 #include "esse/error_subspace.hpp"
 #include "esse/multilevel.hpp"
 #include "esse/perturbation.hpp"
-#include "obs/observation.hpp"
 #include "ocean/model.hpp"
-
-namespace essex::telemetry {
-class Sink;
-}
 
 namespace essex::esse {
 
@@ -35,7 +34,6 @@ struct CycleParams {
   double forecast_hours = 24.0;   ///< simulation-time length of the forecast
   double variance_fraction = 0.99;  ///< subspace truncation
   std::size_t max_rank = 0;       ///< 0 = uncapped
-  std::size_t check_interval = 8;  ///< members between SVD/convergence tests
   std::size_t threads = 1;        ///< worker threads for member runs
   bool stochastic_members = true;  ///< members feel model noise (dη)
   /// Localized analysis (DESIGN.md §14). Off by default: the global
@@ -52,10 +50,6 @@ struct CycleParams {
   /// apply — the level layout is fixed up front so column weights are
   /// schedule-free).
   MultilevelParams multilevel;
-  /// Graceful-degradation floor N′: the analysis stage accepts a forecast
-  /// built from fewer members than planned (survivors of a faulty run),
-  /// but refuses to assimilate below this many members.
-  std::size_t min_analysis_members = 2;
   /// Analysis filter selection + multi-model surrogate knobs (DESIGN.md
   /// §16). The default — kSubspaceKalman — leaves the cycle bitwise
   /// identical to the pre-refactor path. When method == kMultiModel the
@@ -63,15 +57,10 @@ struct CycleParams {
   /// coarse surrogate and the analysis assimilates it as
   /// pseudo-observations.
   AnalysisParams analysis;
-  /// Optional telemetry sink (nullable, not owned): the forecast loop
-  /// streams `esse.convergence` events (t = ensemble size, value = ρ) and
-  /// `esse.*` counters into it.
-  telemetry::Sink* sink = nullptr;
 };
 
-/// MTC execution accounting attached to a forecast by task-parallel
-/// runners (workflow::run_parallel_forecast); absent for the serial
-/// block-synchronous driver.
+/// MTC execution accounting attached to a forecast by the Fig.-4 runner
+/// (workflow::run_parallel_forecast); absent for the serial reference.
 struct MtcAccounting {
   std::size_t members_submitted = 0;  ///< pool size M issued (M ≥ N)
   std::size_t members_cancelled = 0;  ///< killed on convergence (§4.1)
@@ -92,8 +81,8 @@ struct MtcAccounting {
 };
 
 /// Outcome of the uncertainty-forecast stage. The single forecast result
-/// type for both the block-synchronous driver and the MTC runner: the
-/// latter additionally fills `mtc`.
+/// type for both the MTC runner and the serial reference: the runner
+/// additionally fills `mtc`.
 struct ForecastResult {
   la::Vector central_forecast;      ///< packed central (unperturbed) run
   ErrorSubspace forecast_subspace;  ///< dominant forecast error modes
@@ -113,8 +102,8 @@ struct ForecastResult {
 /// A stochastic member feels model noise from the RNG stream
 /// (seed ^ 0xA5A5A5A5, member_id + 1), independent of the perturbation
 /// draws for the same id; otherwise the run is deterministic. The one
-/// member integration shared by every ESSE driver (the serial cycle and
-/// the MTC runner), so a member is the same pure function of
+/// member integration shared by every ESSE loop (the MTC runner and the
+/// serial reference), so a member is the same pure function of
 /// (seed, id) wherever it runs. `packed_initial` is taken by value and
 /// freed once unpacked: callers done with it std::move it in, so a busy
 /// worker does not hold it through the run.
@@ -133,29 +122,6 @@ la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
                                   const ocean::OceanState& initial,
                                   double t0_hours, double forecast_hours,
                                   const AnalysisParams& analysis);
-
-/// Run the ensemble uncertainty forecast: integrate the central state and
-/// `N` perturbed members from `t0_hours` for `forecast_hours`, growing N
-/// per the controller until the subspace converges or Nmax is reached.
-ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
-                                        const ocean::OceanState& initial,
-                                        const ErrorSubspace& initial_subspace,
-                                        double t0_hours,
-                                        const CycleParams& params);
-
-/// Full cycle: uncertainty forecast followed by the ESSE analysis against
-/// the given observations. Returns both stages' outputs.
-struct CycleResult {
-  ForecastResult forecast;
-  AnalysisResult analysis;
-};
-
-CycleResult run_assimilation_cycle(const ocean::OceanModel& model,
-                                   const ocean::OceanState& initial,
-                                   const ErrorSubspace& initial_subspace,
-                                   double t0_hours,
-                                   const obs::ObsOperator& h,
-                                   const CycleParams& params);
 
 /// Build an initial error subspace when no posterior from a previous
 /// cycle exists: sample `n_samples` stochastic model integrations of

@@ -11,8 +11,8 @@
 //
 // The stencil evaluation order is part of the contract: apply()/
 // apply_mode() accumulate in stencil order, exactly as ObsOperator and
-// the historical analyze_linear loop did, so the global analysis path
-// stays bitwise identical through the adapters.
+// the historical linear-observation loop did, so the global analysis
+// path stays bitwise identical through the adapters.
 #pragma once
 
 #include <cstddef>

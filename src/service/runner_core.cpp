@@ -49,11 +49,8 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
       throw PreconditionError(workflow::describe(issues));
     }
   }
-  esse::CycleParams cp = config.cycle;
+  const esse::CycleParams& cp = config.cycle;
   telemetry::Sink* sink = request.sink;
-  // The numerics stream their convergence samples into the same session
-  // unless the caller routed them elsewhere explicitly.
-  if (sink && !cp.sink) cp.sink = sink;
 
   const auto cancelled_now = [&hooks] {
     return hooks.cancel && hooks.cancel->load(std::memory_order_relaxed);

@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <utility>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "esse/analysis.hpp"
-#include "esse/cycle.hpp"
 #include "esse/error_subspace.hpp"
 #include "linalg/stats.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
 #include "testkit/generators.hpp"
-#include "workflow/parallel_runner.hpp"
-#include "workflow/serial_reference.hpp"
 
 namespace essex::testkit {
 
@@ -24,6 +23,73 @@ constexpr double kRhoTolerance = 1e-6;       ///< SVD-path round-off budget
 constexpr double kPosteriorTolerance = 1e-6;  ///< analysis agreement (RMS)
 
 }  // namespace
+
+esse::ForecastResult serial_reference_forecast(
+    const workflow::ForecastRequest& request) {
+  {
+    const auto issues = workflow::validate(request);
+    if (!issues.empty()) {
+      throw PreconditionError(workflow::describe(issues));
+    }
+  }
+  const esse::CycleParams& cp = request.config.cycle;
+  ESSEX_REQUIRE(!cp.multilevel.enabled(),
+                "the serial reference runs single-level ensembles only");
+  const ocean::OceanModel& model = request.model;
+  const double t0_hours = request.t0_hours;
+  const std::size_t stride = request.config.svd_min_new_members;
+  const la::Vector packed_initial = request.initial.pack();
+
+  // Central (unperturbed, deterministic) forecast.
+  la::Vector central =
+      esse::run_member(model, packed_initial, t0_hours, cp.forecast_hours,
+                       false, cp.perturbation.seed, 0);
+
+  esse::PerturbationGenerator pert(request.subspace, cp.perturbation);
+  // Localized requests shard the differ's column store by the analysis
+  // tiling, as the runner does.
+  std::shared_ptr<const ocean::Tiling> tiling;
+  if (cp.localization.enabled)
+    tiling = std::make_shared<const ocean::Tiling>(model.grid(), cp.tiling);
+  esse::Differ differ(central, tiling);
+  esse::ConvergenceTest conv(cp.convergence);
+  esse::EnsembleSizeController sizer(cp.ensemble);
+
+  // Staged growth loop: run blocks of `stride` members up to the current
+  // target; test convergence after each block.
+  for (;;) {
+    while (differ.count() < sizer.target()) {
+      const std::size_t first = differ.count();
+      const std::size_t end = std::min(first + stride, sizer.target());
+      for (std::size_t id = first; id < end; ++id) {
+        la::Vector xf = esse::run_member(
+            model, pert.perturbed_state(packed_initial, id), t0_hours,
+            cp.forecast_hours, cp.stochastic_members, cp.perturbation.seed,
+            id);
+        differ.add_member(id, xf);
+      }
+      if (differ.count() >= 2) {
+        conv.update(differ.subspace(cp.variance_fraction, cp.max_rank),
+                    differ.count());
+        if (conv.converged()) break;
+      }
+    }
+    if (conv.converged() || sizer.at_max()) break;
+    sizer.grow();
+  }
+
+  esse::ForecastResult out;
+  out.central_forecast = std::move(central);
+  out.forecast_subspace = differ.subspace(cp.variance_fraction, cp.max_rank);
+  out.members_run = differ.count();
+  out.converged = conv.converged();
+  out.convergence_history = conv.history();
+  if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
+    out.surrogate_forecast = esse::run_surrogate_forecast(
+        model, request.initial, t0_hours, cp.forecast_hours, cp.analysis);
+  }
+  return out;
+}
 
 DifferentialReport run_differential_oracle(std::uint64_t seed,
                                            std::size_t threads) {
@@ -42,8 +108,7 @@ DifferentialReport run_differential_oracle(std::uint64_t seed,
   cfg.svd_min_new_members = 4;
 
   workflow::ForecastRequest request{model, sc.initial, initial, 0.0, cfg};
-  const esse::ForecastResult serial =
-      workflow::run_serial_reference_forecast(request);
+  const esse::ForecastResult serial = serial_reference_forecast(request);
   request.config.cycle.threads = threads;
   const esse::ForecastResult mtc = workflow::run_parallel_forecast(request);
 

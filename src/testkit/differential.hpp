@@ -15,8 +15,22 @@
 #include <string>
 
 #include "esse/analysis.hpp"
+#include "esse/cycle.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace essex::testkit {
+
+/// The Fig.-3 serial reference forecast the oracle holds the runner to:
+/// one member at a time in member-id order, block-synchronous growth
+/// per the `ensemble` controller, and a convergence check after every
+/// `config.svd_min_new_members` members — the runner's milestone
+/// stride, so both loops test the subspace at the same ensemble sizes.
+/// Validates the request like the runner does; ignores the MTC-only
+/// knobs (thread count, pool headroom, fault policy and injection,
+/// arrival hook, sink) and leaves `result.mtc` empty. Refuses multilevel
+/// requests: the reference has no level layout.
+esse::ForecastResult serial_reference_forecast(
+    const workflow::ForecastRequest& request);
 
 /// Outcome of one serial-vs-MTC comparison.
 struct DifferentialReport {

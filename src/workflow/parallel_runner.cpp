@@ -4,13 +4,15 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/error.hpp"
 #include "ocean/state.hpp"
 
 // The Fig.-4 execution loop itself lives in src/service/runner_core.cpp
 // and run_parallel_forecast() in src/service/forecast_service.cpp: every
 // one-shot call now routes through the persistent ForecastService, so
-// this translation unit keeps only the validation surface the service
-// uses for structured request rejection.
+// this translation unit keeps the validation surface the service uses
+// for structured request rejection, plus the cycle that puts the ESSE
+// analysis behind that forecast.
 
 namespace essex::workflow {
 
@@ -55,6 +57,15 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
         "white-noise stddev must be >= 0");
   check(issues, config.fault.min_members >= 1, "config.fault.min_members",
         "graceful-degradation floor must be >= 1");
+  // A floor above the largest ensemble the request can ever run would
+  // only trip after every member had been integrated.
+  const std::size_t most_members = cp.multilevel.enabled()
+                                       ? cp.multilevel.total_members()
+                                       : cp.ensemble.max_members;
+  check(issues, config.fault.min_members <= most_members,
+        "config.fault.min_members",
+        "graceful-degradation floor exceeds the most members the request "
+        "can run (Nmax, or the multilevel member total)");
   check(issues,
         config.inject.segment.probability >= 0.0 &&
             config.inject.segment.probability <= 1.0,
@@ -262,6 +273,32 @@ std::string describe(const std::vector<ValidationIssue>& issues) {
     os << issues[i].field << ": " << issues[i].message;
   }
   return os.str();
+}
+
+CycleOutcome run_assimilation_cycle(const ForecastRequest& request,
+                                    const esse::ObsSet& obs) {
+  CycleOutcome out;
+  out.forecast = run_parallel_forecast(request);
+  const esse::CycleParams& cp = request.config.cycle;
+  esse::AnalysisOptions options;
+  options.localization = cp.localization;
+  options.tiling = cp.tiling;
+  options.threads = cp.threads;
+  options.grid = &request.model.grid();
+  options.method = cp.analysis.method;
+  options.sink = request.sink;
+  if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
+    ESSEX_REQUIRE(out.forecast.surrogate_forecast.has_value(),
+                  "multi-model analysis needs the surrogate forecast");
+    options.multi_model.surrogate = &*out.forecast.surrogate_forecast;
+    options.multi_model.stride = cp.analysis.pseudo_obs_stride;
+    options.multi_model.variance_inflation =
+        cp.analysis.pseudo_variance_inflation;
+    options.multi_model.variance_floor = cp.analysis.pseudo_variance_floor;
+  }
+  out.analysis = esse::analyze(out.forecast.central_forecast,
+                               out.forecast.forecast_subspace, obs, options);
+  return out;
 }
 
 }  // namespace essex::workflow

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "esse/analysis.hpp"
 #include "esse/convergence.hpp"
 #include "esse/cycle.hpp"
 #include "esse/differ.hpp"
@@ -62,8 +63,8 @@ struct ForecastRequest {
   ParallelRunnerConfig config{};
   /// Optional telemetry sink (nullable, not owned). The runner records
   /// `runner.*` counters/histograms with wall-clock spans for member and
-  /// SVD work, and forwards it to the numerics (`esse.*` convergence
-  /// stream) unless `config.cycle.sink` is already set.
+  /// SVD work (and the `runner.convergence` ρ stream); the differ, the
+  /// SVD and run_assimilation_cycle's analysis record into it too.
   telemetry::Sink* sink = nullptr;
 };
 
@@ -121,5 +122,20 @@ double forecast_work_units(const ForecastRequest& request);
 /// clock fields of `result.mtc` (timings, store versions, retry counts
 /// under real faults) remain timing-dependent.
 esse::ForecastResult run_parallel_forecast(const ForecastRequest& request);
+
+/// Both stages of one ESSE cycle (paper Fig. 2).
+struct CycleOutcome {
+  esse::ForecastResult forecast;
+  esse::AnalysisResult analysis;
+};
+
+/// Full cycle: run_parallel_forecast(request), then the ESSE analysis of
+/// its forecast against `obs`, configured from `request.config.cycle`
+/// (localization, tiling, threads, method and multi-model surrogate) and
+/// recording into `request.sink`. Graceful degradation has one floor,
+/// `config.fault.min_members`: the runner refuses a forecast built from
+/// fewer survivors, so no analysis ever runs below it.
+CycleOutcome run_assimilation_cycle(const ForecastRequest& request,
+                                    const esse::ObsSet& obs);
 
 }  // namespace essex::workflow

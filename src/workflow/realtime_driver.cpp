@@ -73,10 +73,12 @@ RealtimeReport run_realtime_experiment(const ocean::OceanModel& model,
 
     // Ensemble forecast from the last analysis to the nowcast, then the
     // ESSE update.
-    esse::CycleParams cp = config.cycle;
-    cp.forecast_hours = std::max(nowcast_h - analysis_time, 1e-3);
-    esse::CycleResult cycle = esse::run_assimilation_cycle(
-        model, analysis_state, subspace, analysis_time, h, cp);
+    ForecastRequest request{model, analysis_state, subspace, analysis_time,
+                            config.cycle};
+    request.config.cycle.forecast_hours =
+        std::max(nowcast_h - analysis_time, 1e-3);
+    const CycleOutcome cycle =
+        run_assimilation_cycle(request, esse::ObsSet::from_operator(h));
 
     ProcedureReport pr;
     pr.procedure = k;

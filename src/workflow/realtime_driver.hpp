@@ -20,12 +20,15 @@
 #include "esse/cycle.hpp"
 #include "esse/verification.hpp"
 #include "ocean/model.hpp"
+#include "workflow/parallel_runner.hpp"
 #include "workflow/timeline.hpp"
 
 namespace essex::workflow {
 
 struct RealtimeConfig {
-  esse::CycleParams cycle;  ///< per-procedure ensemble numerics
+  /// Per-procedure ensemble run; each procedure sets its own
+  /// `cycle.forecast_hours` (last analysis → nowcast).
+  ParallelRunnerConfig cycle;
   /// Initial-uncertainty bootstrap: spin-up length and sample count.
   double bootstrap_spinup_h = 12.0;
   std::size_t bootstrap_samples = 12;

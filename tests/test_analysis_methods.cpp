@@ -34,6 +34,7 @@
 #include "ocean/monterey.hpp"
 #include "testkit/differential.hpp"
 #include "testkit/generators.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace essex::testkit {
 namespace {
@@ -272,10 +273,10 @@ TEST(AnalysisMethods, AnalysisNeverHurtsForAnyMethod) {
 }
 
 TEST(AnalysisMethods, AdaptersHonorTheThreadOption) {
-  // Regression for the adapter gap: the pre-PR forwarding adapters
-  // dropped AnalysisOptions::threads on the floor for the global path —
-  // every analyze_linear() call ran the HE build serially no matter what
-  // the caller asked for. The "analysis.threads" gauge records the
+  // Regression for the adapter gap: the old forwarding adapters dropped
+  // AnalysisOptions::threads on the floor for the global path — every
+  // linear-observation analysis ran the HE build serially no matter
+  // what the caller asked for. The "analysis.threads" gauge records the
   // worker count actually used, so it is the observable.
   Rng rng(0xad4f7e2ULL);
   const Gen<SurrogatePair> gen = gen_surrogate_pair(equivalence_opts());
@@ -291,16 +292,17 @@ TEST(AnalysisMethods, AdaptersHonorTheThreadOption) {
   esse::AnalysisOptions options;
   options.threads = obs.size();  // every worker gets at least one row
   options.sink = &sink;
+  const esse::ObsSet lowered = esse::ObsSet::from_linear(linear);
   const esse::AnalysisResult threaded =
-      esse::analyze_linear(sp.forecast, sp.subspace, linear, options);
+      esse::analyze(sp.forecast, sp.subspace, lowered, options);
   EXPECT_EQ(sink.metrics().value("analysis.threads"),
             static_cast<double>(obs.size()))
-      << "analyze_linear ignored AnalysisOptions::threads";
+      << "the linear-observation analysis ignored AnalysisOptions::threads";
 
   // And the parallel HE build is bitwise-equal to the serial one,
   // through both the linear adapter and the native ObsSet entry point.
   const esse::AnalysisResult serial =
-      esse::analyze_linear(sp.forecast, sp.subspace, linear, {});
+      esse::analyze(sp.forecast, sp.subspace, lowered, {});
   EXPECT_EQ(esse::analysis_digest(threaded), esse::analysis_digest(serial));
   esse::AnalysisOptions direct = options;
   direct.sink = nullptr;
@@ -400,34 +402,35 @@ TEST(AnalysisMethods, CycleAttachesAndSerializesTheSurrogate) {
   const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 1.0, 4, 0.99, 4, /*seed=*/5);
 
-  esse::CycleParams params;
-  params.forecast_hours = 1.0;
-  params.ensemble = {4, 2.0, 8};
-  params.convergence = {0.90, 4};
-  params.max_rank = 4;
-  const esse::ForecastResult plain = esse::run_uncertainty_forecast(
-      model, sc.initial, subspace, 0.0, params);
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 1.0;
+  cfg.cycle.ensemble = {4, 2.0, 8};
+  cfg.cycle.convergence = {0.90, 4};
+  cfg.cycle.max_rank = 4;
+  const auto forecast = [&](const workflow::ParallelRunnerConfig& c) {
+    return workflow::run_parallel_forecast(
+        workflow::ForecastRequest{model, sc.initial, subspace, 0.0, c});
+  };
+  const esse::ForecastResult plain = forecast(cfg);
   EXPECT_FALSE(plain.surrogate_forecast.has_value());
   EXPECT_EQ(esse::serialize_forecast_product(plain).find("SURROGAT"),
             std::string::npos);
 
-  params.analysis.method = esse::AnalysisMethod::kMultiModel;
-  const esse::ForecastResult mm = esse::run_uncertainty_forecast(
-      model, sc.initial, subspace, 0.0, params);
+  cfg.cycle.analysis.method = esse::AnalysisMethod::kMultiModel;
+  const esse::ForecastResult mm = forecast(cfg);
   ASSERT_TRUE(mm.surrogate_forecast.has_value());
   EXPECT_EQ(*mm.surrogate_forecast,
             esse::run_surrogate_forecast(model, sc.initial, 0.0,
-                                         params.forecast_hours,
-                                         params.analysis))
+                                         cfg.cycle.forecast_hours,
+                                         cfg.cycle.analysis))
       << "the attached surrogate is not the canonical companion run";
   EXPECT_NE(esse::serialize_forecast_product(mm).find("SURROGAT"),
             std::string::npos);
   // The surrogate is part of the scientific product: same cycle, a
   // biased companion, a different digest.
-  esse::CycleParams biased = params;
-  biased.analysis.surrogate_bias = 0.25;
-  const esse::ForecastResult mm_biased = esse::run_uncertainty_forecast(
-      model, sc.initial, subspace, 0.0, biased);
+  workflow::ParallelRunnerConfig biased = cfg;
+  biased.cycle.analysis.surrogate_bias = 0.25;
+  const esse::ForecastResult mm_biased = forecast(biased);
   EXPECT_NE(esse::forecast_digest(mm_biased), esse::forecast_digest(mm));
 }
 

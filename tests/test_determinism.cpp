@@ -17,9 +17,13 @@
 #include <thread>
 
 #include "common/digest.hpp"
+#include "common/rng.hpp"
 #include "esse/repro.hpp"
 #include "linalg/simd.hpp"
+#include "obs/instruments.hpp"
+#include "ocean/monterey.hpp"
 #include "workflow/determinism_probe.hpp"
+#include "workflow/parallel_runner.hpp"
 
 #ifndef ESSEX_GOLDEN_DIR
 #define ESSEX_GOLDEN_DIR "."
@@ -179,6 +183,35 @@ TEST(Determinism, MatchesCheckedInAnalysisMethodDigests) {
            "changed intentionally, regenerate with: bench_determinism "
            "--write-golden (see DESIGN.md §10/§16).";
   }
+}
+
+TEST(Determinism, AssimilationCycleIsThreadInvariant) {
+  // run_assimilation_cycle threads both stages — the ensemble and the
+  // analysis's HE build — so its analysis digest must hold across
+  // thread counts like the forecast's does.
+  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
+  ocean::OceanModel model(sc.grid, sc.params, ocean::WindForcing(sc.wind),
+                          sc.initial);
+  const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
+      model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
+  Rng obs_rng(31);
+  const obs::ObsOperator h(sc.grid,
+                           obs::aosn_campaign(sc.grid, sc.initial, obs_rng));
+  const esse::ObsSet obs = esse::ObsSet::from_operator(h);
+
+  ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 3.0;
+  cfg.cycle.ensemble = {8, 2.0, 24};
+  cfg.cycle.convergence = {0.90, 6};
+  cfg.cycle.max_rank = 8;
+  const auto cycle_digest = [&](std::size_t threads) {
+    cfg.cycle.threads = threads;
+    return esse::analysis_digest(
+        run_assimilation_cycle(
+            ForecastRequest{model, sc.initial, subspace, 0.0, cfg}, obs)
+            .analysis);
+  };
+  EXPECT_EQ(cycle_digest(1), cycle_digest(3));
 }
 
 TEST(Determinism, SerializedProductIsSelfConsistent) {

@@ -289,7 +289,8 @@ TEST(AnalysisEdgeCases, ZeroObservationsAreRejectedCleanly) {
                                     }).create(rng),
                                     empty_h),
                essex::PreconditionError);
-  EXPECT_THROW(essex::esse::analyze_linear(forecast, subspace, {}),
+  EXPECT_THROW(essex::esse::analyze(forecast, subspace,
+                                    essex::esse::ObsSet::from_linear({})),
                essex::PreconditionError);
 }
 
@@ -318,7 +319,8 @@ TEST(AnalysisEdgeCases, RankDeficientSubspacesAssimilateWithoutBlowup) {
           ob.variance = 0.25;
           obs.push_back(ob);
         }
-        const auto a = essex::esse::analyze_linear(forecast, s, obs);
+        const auto a = essex::esse::analyze(
+            forecast, s, essex::esse::ObsSet::from_linear(obs));
         if (a.posterior_trace > a.prior_trace + 1e-9) return false;
         if (a.posterior_trace < 0) return false;
         for (double v : a.posterior_state)

@@ -30,7 +30,7 @@ la::Matrix random_orthonormal(std::size_t m, std::size_t k, Rng& rng) {
   return a;
 }
 
-// ---- analyze_linear ---------------------------------------------------------
+// ---- generic linear observations -------------------------------------------
 
 TEST(AnalyzeLinear, MatchesDirectObservationOfOneComponent) {
   Rng rng(1);
@@ -43,14 +43,14 @@ TEST(AnalyzeLinear, MatchesDirectObservationOfOneComponent) {
   ob.stencil = {{3, 1.0}};
   ob.value = 1.0;
   ob.variance = 1e-6;
-  auto res = esse::analyze_linear(forecast, sub, {ob});
+  auto res = esse::analyze(forecast, sub, esse::ObsSet::from_linear({ob}));
   EXPECT_GT(res.posterior_state[3], 0.3);
   EXPECT_LT(res.posterior_innovation_rms, res.prior_innovation_rms);
   EXPECT_LT(res.posterior_trace, res.prior_trace);
 }
 
 TEST(AnalyzeLinear, AgreesWithObsOperatorAnalyze) {
-  // The grid-based analyze() and analyze_linear() must produce the same
+  // The gridded and the generic linear front ends must produce the same
   // posterior for equivalent observations.
   auto sc = ocean::make_monterey_scenario(16, 14, 3);
   Rng rng(2);
@@ -73,7 +73,8 @@ TEST(AnalyzeLinear, AgreesWithObsOperatorAnalyze) {
   lin.stencil = {{sc.grid.index(4, 5, 0), 1.0}};
   lin.value = 14.2;
   lin.variance = 0.09;
-  auto res_lin = esse::analyze_linear(forecast, sub, {lin});
+  auto res_lin =
+      esse::analyze(forecast, sub, esse::ObsSet::from_linear({lin}));
 
   EXPECT_NEAR(la::rms_diff(res_grid.posterior_state,
                            res_lin.posterior_state),
@@ -86,7 +87,8 @@ TEST(AnalyzeLinear, ValidatesStencilIndices) {
   esse::ErrorSubspace sub(random_orthonormal(10, 2, rng), {1, 0.5});
   esse::LinearObservation ob;
   ob.stencil = {{99, 1.0}};
-  EXPECT_THROW(esse::analyze_linear(la::Vector(10, 0.0), sub, {ob}),
+  EXPECT_THROW(esse::analyze(la::Vector(10, 0.0), sub,
+                             esse::ObsSet::from_linear({ob})),
                PreconditionError);
 }
 

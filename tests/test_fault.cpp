@@ -667,15 +667,40 @@ TEST_F(FaultRunnerFixture, AnalysisRefusesBelowMemberFloor) {
   auto campaign = obs::aosn_campaign(sc->grid, truth, obs_rng);
   obs::ObsOperator h(sc->grid, campaign);
 
-  CycleParams params;
-  params.forecast_hours = 2.0;
-  params.ensemble = {6, 2.0, 6};
-  params.convergence = {0.95, 100};
-  params.max_rank = 6;
-  params.min_analysis_members = 1000;  // unreachable floor N′
-  EXPECT_THROW(run_assimilation_cycle(*model, sc->initial, subspace, 0.0,
-                                      h, params),
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 2.0;
+  cfg.cycle.ensemble = {6, 2.0, 6};
+  cfg.cycle.convergence = {0.95, 100};
+  cfg.cycle.max_rank = 6;
+  cfg.fault.min_members = 1000;  // unreachable floor N′
+  EXPECT_THROW(workflow::run_assimilation_cycle(
+                   workflow::ForecastRequest{*model, sc->initial, subspace,
+                                             0.0, cfg},
+                   ObsSet::from_operator(h)),
                essex::PreconditionError);
+}
+
+TEST(FaultPolicyValidation, FloorAboveTheLargestEnsembleIsRejectedUpFront) {
+  // A floor no run of this request can reach is a configuration error:
+  // validate() names it before any member is integrated.
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.ensemble = {8, 2.0, 24};
+  cfg.fault.min_members = 24;  // exactly Nmax: reachable
+  EXPECT_TRUE(workflow::validate(cfg).empty());
+  cfg.fault.min_members = 25;
+  const auto issues = workflow::validate(cfg);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "config.fault.min_members");
+
+  // A multilevel request runs its planned member total, whatever Nmax.
+  cfg.cycle.multilevel.levels = 2;
+  cfg.cycle.multilevel.members_per_level = {4, 16};
+  cfg.fault.min_members = 20;  // the planned total: reachable
+  EXPECT_TRUE(workflow::validate(cfg).empty());
+  cfg.fault.min_members = 21;
+  const auto ml_issues = workflow::validate(cfg);
+  ASSERT_EQ(ml_issues.size(), 1u);
+  EXPECT_EQ(ml_issues[0].field, "config.fault.min_members");
 }
 
 }  // namespace

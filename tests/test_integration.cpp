@@ -13,6 +13,7 @@
 #include "obs/instruments.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace essex {
 namespace {
@@ -70,15 +71,16 @@ TEST_F(TwinFixture, AssimilationPullsForecastTowardTruth) {
   auto campaign = obs::aosn_campaign(sc->grid, *truth, obs_rng);
   obs::ObsOperator h(sc->grid, campaign);
 
-  esse::CycleParams params;
-  params.forecast_hours = 12.0;
-  params.ensemble = {12, 2.0, 12};
-  params.convergence = {0.95, 100};  // no early stop at this scale
-  params.max_rank = 10;
-  params.check_interval = 12;
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 12.0;
+  cfg.cycle.ensemble = {12, 2.0, 12};
+  cfg.cycle.convergence = {0.95, 100};  // no early stop at this scale
+  cfg.cycle.max_rank = 10;
+  cfg.svd_min_new_members = 12;
 
-  esse::CycleResult res = esse::run_assimilation_cycle(
-      *model, sc->initial, subspace, 0.0, h, params);
+  const workflow::CycleOutcome res = workflow::run_assimilation_cycle(
+      workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg},
+      esse::ObsSet::from_operator(h));
 
   const la::Vector truth_vec = truth->pack();
   const double prior_err =
@@ -94,11 +96,11 @@ TEST_F(TwinFixture, AssimilationPullsForecastTowardTruth) {
 TEST_F(TwinFixture, SecondCycleKeepsImproving) {
   // Two sequential DA cycles (Fig. 2 loop): error must not grow.
   Rng obs_rng(32);
-  esse::CycleParams params;
-  params.forecast_hours = 6.0;
-  params.ensemble = {10, 2.0, 10};
-  params.convergence = {0.95, 100};
-  params.max_rank = 8;
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 6.0;
+  cfg.cycle.ensemble = {10, 2.0, 10};
+  cfg.cycle.convergence = {0.95, 100};
+  cfg.cycle.max_rank = 8;
 
   // Cycle 1: assimilate truth at t=6 (same twin as the fixture, from
   // the displaced initial state).
@@ -115,8 +117,9 @@ TEST_F(TwinFixture, SecondCycleKeepsImproving) {
   model->run(truth6, 0.0, 6.0, &trng);
   auto camp1 = obs::aosn_campaign(sc->grid, truth6, obs_rng);
   obs::ObsOperator h1(sc->grid, camp1);
-  esse::CycleResult c1 = esse::run_assimilation_cycle(
-      *model, sc->initial, subspace, 0.0, h1, params);
+  const workflow::CycleOutcome c1 = workflow::run_assimilation_cycle(
+      workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg},
+      esse::ObsSet::from_operator(h1));
 
   // Cycle 2: start from the posterior, forecast to t=12, assimilate.
   ocean::OceanState posterior_state(sc->grid);
@@ -125,9 +128,10 @@ TEST_F(TwinFixture, SecondCycleKeepsImproving) {
   model->run(truth12, 6.0, 6.0, &trng);
   auto camp2 = obs::aosn_campaign(sc->grid, truth12, obs_rng);
   obs::ObsOperator h2(sc->grid, camp2);
-  esse::CycleResult c2 = esse::run_assimilation_cycle(
-      *model, posterior_state, c1.analysis.posterior_subspace, 6.0, h2,
-      params);
+  const workflow::CycleOutcome c2 = workflow::run_assimilation_cycle(
+      workflow::ForecastRequest{*model, posterior_state,
+                                c1.analysis.posterior_subspace, 6.0, cfg},
+      esse::ObsSet::from_operator(h2));
 
   const double err2_prior =
       la::rms_diff(c2.forecast.central_forecast, truth12.pack());
@@ -139,13 +143,13 @@ TEST_F(TwinFixture, SecondCycleKeepsImproving) {
 TEST_F(TwinFixture, UncertaintyForecastGrowsSpreadAlongFront) {
   // The Figs. 5/6 product: the forecast subspace's marginal stddev on
   // the SST field must be non-trivial and spatially structured.
-  esse::CycleParams params;
-  params.forecast_hours = 12.0;
-  params.ensemble = {12, 2.0, 12};
-  params.convergence = {0.95, 100};
-  params.max_rank = 10;
-  esse::ForecastResult fr = esse::run_uncertainty_forecast(
-      *model, sc->initial, subspace, 0.0, params);
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 12.0;
+  cfg.cycle.ensemble = {12, 2.0, 12};
+  cfg.cycle.convergence = {0.95, 100};
+  cfg.cycle.max_rank = 10;
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
   la::Vector sd = fr.forecast_subspace.marginal_stddev();
   // SST block = first horizontal slab of the temperature block.
   double max_sd = 0, mean_sd = 0;
@@ -199,14 +203,14 @@ TEST_F(TwinFixture, EnsembleFeedsAcousticUncertainty) {
 }
 
 TEST_F(TwinFixture, ConvergenceHistoryIsRecordedWhenGrowing) {
-  esse::CycleParams params;
-  params.forecast_hours = 3.0;
-  params.ensemble = {6, 2.0, 24};
-  params.convergence = {0.999, 6};  // strict: forces at least one growth
-  params.check_interval = 6;
-  params.max_rank = 6;
-  esse::ForecastResult fr = esse::run_uncertainty_forecast(
-      *model, sc->initial, subspace, 0.0, params);
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 3.0;
+  cfg.cycle.ensemble = {6, 2.0, 24};
+  cfg.cycle.convergence = {0.999, 6};  // strict: forces at least one growth
+  cfg.cycle.max_rank = 6;
+  cfg.svd_min_new_members = 6;
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
   EXPECT_GE(fr.members_run, 6u);
   if (!fr.converged) {
     EXPECT_EQ(fr.members_run, 24u);

@@ -25,6 +25,7 @@
 #include "mtc/cluster.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
+#include "obs/instruments.hpp"
 #include "ocean/hierarchy.hpp"
 #include "ocean/model.hpp"
 #include "ocean/monterey.hpp"
@@ -308,6 +309,32 @@ TEST(Multilevel, MixedResolutionForecastProducesAFineGridProduct) {
   EXPECT_GE(res.members_run, 8u);   // at least the fine level
   EXPECT_LE(res.members_run, 24u);  // never beyond the fixed plan
   EXPECT_FALSE(res.convergence_history.empty());
+}
+
+TEST(Multilevel, AssimilationCycleRunsThePlannedMemberMix) {
+  // The cycle honours CycleParams::multilevel: it submits the planned
+  // {4 fine, 16 coarse} mix, not a single-level ensemble sized by the
+  // `ensemble` controller.
+  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
+  ocean::OceanModel model(sc.grid, sc.params, ocean::WindForcing(sc.wind),
+                          sc.initial);
+  const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
+      model, sc.initial, 0.0, 2.0, 6, 0.99, 6, /*seed=*/11);
+  Rng obs_rng(31);
+  const obs::ObsOperator h(sc.grid,
+                           obs::aosn_campaign(sc.grid, sc.initial, obs_rng));
+
+  workflow::ParallelRunnerConfig cfg = valid_ml_config();
+  cfg.cycle.forecast_hours = 2.0;
+  cfg.cycle.threads = 2;
+  cfg.cycle.max_rank = 6;
+  cfg.cycle.multilevel.members_per_level = {4, 16};
+  const workflow::CycleOutcome cycle = workflow::run_assimilation_cycle(
+      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg},
+      esse::ObsSet::from_operator(h));
+  ASSERT_TRUE(cycle.forecast.mtc.has_value());
+  EXPECT_EQ(cycle.forecast.mtc->members_submitted, 20u);
+  EXPECT_LE(cycle.analysis.posterior_trace, cycle.analysis.prior_trace);
 }
 
 // ---- satellite 1: work-unit admission -------------------------------------------

@@ -11,6 +11,7 @@
 #include "linalg/parallel_kernels.hpp"
 #include "mtc/autoscaler.hpp"
 #include "ocean/monterey.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace essex {
 namespace {
@@ -168,15 +169,15 @@ TEST_F(TangentFixture, AgreesWithEnsembleSubspaceOnShortHorizon) {
   // noise-free ensemble must span nearly the same subspace.
   auto tf = esse::tangent_forecast(*model, sc->initial, subspace, 0.0, 3.0,
                                    1.0, 1, 0.999, 6);
-  esse::CycleParams cp;
-  cp.forecast_hours = 3.0;
-  cp.ensemble = {16, 2.0, 16};
-  cp.convergence = {0.999999, 64};  // run all members
-  cp.max_rank = 6;
-  cp.stochastic_members = false;  // same noise-free regime
-  cp.variance_fraction = 0.999;
-  esse::ForecastResult fr = esse::run_uncertainty_forecast(
-      *model, sc->initial, subspace, 0.0, cp);
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 3.0;
+  cfg.cycle.ensemble = {16, 2.0, 16};
+  cfg.cycle.convergence = {0.999999, 64};  // run all members
+  cfg.cycle.max_rank = 6;
+  cfg.cycle.stochastic_members = false;  // same noise-free regime
+  cfg.cycle.variance_fraction = 0.999;
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
   const double rho =
       esse::subspace_similarity(tf.forecast_subspace, fr.forecast_subspace);
   EXPECT_GT(rho, 0.8);

@@ -16,6 +16,7 @@
 #include "obs/instruments.hpp"
 #include "ocean/monterey.hpp"
 #include "testkit/generators.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace essex {
 namespace {
@@ -195,12 +196,13 @@ TEST_P(CycleRankSweep, ForecastRankRespectsCap) {
                           sc.initial);
   esse::ErrorSubspace sub = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/3);
-  esse::CycleParams p;
-  p.forecast_hours = 3.0;
-  p.ensemble = {8, 2.0, 8};
-  p.convergence = {0.95, 100};
-  p.max_rank = static_cast<std::size_t>(cap);
-  auto fr = esse::run_uncertainty_forecast(model, sc.initial, sub, 0.0, p);
+  workflow::ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 3.0;
+  cfg.cycle.ensemble = {8, 2.0, 8};
+  cfg.cycle.convergence = {0.95, 100};
+  cfg.cycle.max_rank = static_cast<std::size_t>(cap);
+  const esse::ForecastResult fr = workflow::run_parallel_forecast(
+      workflow::ForecastRequest{model, sc.initial, sub, 0.0, cfg});
   EXPECT_LE(fr.forecast_subspace.rank(), static_cast<std::size_t>(cap));
   EXPECT_GE(fr.forecast_subspace.rank(), 1u);
 }

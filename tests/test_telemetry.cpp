@@ -177,8 +177,15 @@ TEST(Recorder, ConcurrentAppendsAreComplete) {
 
 struct TempDir {
   std::filesystem::path path;
+  // One directory per test: ctest runs these tests as concurrent
+  // processes, and a shared directory let one test's cleanup delete
+  // another's files mid-run.
   TempDir() {
-    path = std::filesystem::temp_directory_path() / "essex_telemetry_test";
+    path = std::filesystem::temp_directory_path() /
+           ("essex_telemetry_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
     std::filesystem::remove_all(path);
   }
   ~TempDir() { std::filesystem::remove_all(path); }

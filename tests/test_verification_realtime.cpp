@@ -220,9 +220,9 @@ TEST(RealtimeDriver, MultiCycleCampaignBeatsPersistence) {
   tl.add_procedure({26.0, 28.0, 0.0, 48.0});
 
   workflow::RealtimeConfig cfg;
-  cfg.cycle.ensemble = {8, 2.0, 8};
-  cfg.cycle.convergence = {0.95, 100};
-  cfg.cycle.max_rank = 8;
+  cfg.cycle.cycle.ensemble = {8, 2.0, 8};
+  cfg.cycle.cycle.convergence = {0.95, 100};
+  cfg.cycle.cycle.max_rank = 8;
   cfg.bootstrap_samples = 8;
   cfg.max_rank = 8;
 

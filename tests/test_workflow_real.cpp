@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
+#include "obs/instruments.hpp"
 #include "ocean/monterey.hpp"
+#include "testkit/differential.hpp"
 #include "workflow/covariance_store.hpp"
 #include "workflow/parallel_runner.hpp"
 
@@ -122,31 +126,50 @@ TEST_F(RunnerFixture, ProducesConvergedForecastSubspace) {
 }
 
 TEST_F(RunnerFixture, MatchesBlockSynchronousDriverStatistically) {
-  // Both drivers estimate the same spread: their total variances must
-  // agree to ensemble sampling accuracy.
-  esse::CycleParams cp;
-  cp.forecast_hours = 3.0;
-  cp.threads = 2;
-  cp.ensemble = {16, 2.0, 16};
-  cp.convergence = {0.999999, 64};  // never converge early: run all 16
-  cp.max_rank = 10;
-  esse::ForecastResult block = esse::run_uncertainty_forecast(
-      *model, sc->initial, subspace, 0.0, cp);
-
+  // The runner and the block-synchronous serial reference estimate the
+  // same spread: their total variances must agree to ensemble sampling
+  // accuracy.
   ParallelRunnerConfig cfg;
-  cfg.cycle = cp;
+  cfg.cycle.forecast_hours = 3.0;
+  cfg.cycle.threads = 2;
+  cfg.cycle.ensemble = {16, 2.0, 16};
+  cfg.cycle.convergence = {0.999999, 64};  // never converge early: run all 16
+  cfg.cycle.max_rank = 10;
   cfg.pool_headroom = 1.0;
-  esse::ForecastResult mtc = run_parallel_forecast(
-      ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
+  const ForecastRequest request{*model, sc->initial, subspace, 0.0, cfg};
+  const esse::ForecastResult block =
+      testkit::serial_reference_forecast(request);
+  const esse::ForecastResult mtc = run_parallel_forecast(request);
 
   ASSERT_EQ(block.members_run, 16u);
   ASSERT_EQ(mtc.members_run, 16u);
-  // The block driver never attaches MTC accounting; the runner must.
+  // The serial reference never attaches MTC accounting; the runner must.
   EXPECT_FALSE(block.mtc.has_value());
   ASSERT_TRUE(mtc.mtc.has_value());
   const double v1 = block.forecast_subspace.total_variance();
   const double v2 = mtc.forecast_subspace.total_variance();
   EXPECT_NEAR(v1, v2, 0.2 * std::max(v1, v2));
+}
+
+TEST_F(RunnerFixture, AssimilationCycleValidatesItsRequest) {
+  // The cycle validates its request like the runner does: a one-member
+  // initial ensemble is refused by name before any member runs.
+  Rng obs_rng(31);
+  const obs::ObsOperator h(sc->grid,
+                           obs::aosn_campaign(sc->grid, sc->initial, obs_rng));
+  ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 1.0;
+  cfg.cycle.ensemble = {1, 2.0, 8};
+  try {
+    run_assimilation_cycle(
+        ForecastRequest{*model, sc->initial, subspace, 0.0, cfg},
+        esse::ObsSet::from_operator(h));
+    FAIL() << "a one-member initial ensemble must be refused";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("config.cycle.ensemble.initial"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(RunnerFixture, CancellationLeavesConsistentCounts) {
