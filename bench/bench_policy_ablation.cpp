@@ -3,6 +3,8 @@
 //   (2) cancel-on-convergence policy — cancel vs use-all vs spare;
 //   (3) pool headroom — "make sure that there is no point ... where the
 //       pipeline of results drains and the SVD calculation has to wait".
+// One CSV per ablation lands in results/bench_policy_{failures,cancel,
+// headroom}.csv.
 #include <iostream>
 
 #include "common/table.hpp"
@@ -49,7 +51,7 @@ int main() {
                std::to_string(m.members_diffed)});
   }
   f.print(std::cout);
-  f.write_csv("bench_policy_failures.csv");
+  f.write_csv("results/bench_policy_failures.csv");
 
   // --- (2) cancellation policies ---------------------------------------------
   Table c("\nablation 2: cancel-on-convergence policy (sec 4.1)");
@@ -72,7 +74,7 @@ int main() {
                Table::num(m.wasted_cpu_seconds / 3600.0, 1)});
   }
   c.print(std::cout);
-  c.write_csv("bench_policy_cancel.csv");
+  c.write_csv("results/bench_policy_cancel.csv");
 
   // --- (3) pool headroom -------------------------------------------------------
   Table h("\nablation 3: pool headroom M/N (sec 4.1 last para)");
@@ -88,6 +90,6 @@ int main() {
                Table::num(m.wasted_cpu_seconds / 3600.0, 1)});
   }
   h.print(std::cout);
-  h.write_csv("bench_policy_headroom.csv");
+  h.write_csv("results/bench_policy_headroom.csv");
   return 0;
 }

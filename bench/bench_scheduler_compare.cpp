@@ -5,7 +5,8 @@
 // to reassign a new job to a node that just finished one."
 //
 // Makespans and the per-job negotiation waits are read from the telemetry
-// sessions recorded by the instrumented scheduler; the sessions land in
+// sessions recorded by the instrumented scheduler; the table lands in
+// results/bench_scheduler_compare.csv and the sessions in
 // results/bench_scheduler_compare.telemetry.json.
 #include <iostream>
 #include <memory>
@@ -64,7 +65,7 @@ int main() {
     condor_sinks.push_back(std::move(sink));
   }
   t.print(std::cout);
-  t.write_csv("bench_scheduler_compare.csv");
+  t.write_csv("results/bench_scheduler_compare.csv");
 
   std::vector<const telemetry::Sink*> sessions{&sge};
   for (const auto& s : condor_sinks) sessions.push_back(s.get());

@@ -7,8 +7,9 @@
 // drains. The win grows when convergence needs pool growth.
 //
 // All reported numbers come from the telemetry sessions recorded by the
-// drivers; the sessions (including the workflow.svd_run/converged event
-// streams) land in results/bench_serial_vs_parallel.telemetry.json.
+// drivers; the table lands in results/bench_serial_vs_parallel.csv and
+// the sessions (including the workflow.svd_run/converged event streams)
+// in results/bench_serial_vs_parallel.telemetry.json.
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -75,7 +76,7 @@ int main() {
     sinks.push_back(std::move(parallel));
   }
   t.print(std::cout);
-  t.write_csv("bench_serial_vs_parallel.csv");
+  t.write_csv("results/bench_serial_vs_parallel.csv");
 
   std::vector<const telemetry::Sink*> sessions;
   for (const auto& s : sinks) sessions.push_back(s.get());

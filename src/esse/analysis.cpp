@@ -215,7 +215,6 @@ AnalysisResult analyze_core(const la::Vector& forecast,
                             const ErrorSubspace& subspace,
                             const la::Matrix& he, const la::Vector& d,
                             const la::Vector& rvar) {
-  const std::size_t k = subspace.rank();
   for (double rv : rvar) {
     ESSEX_REQUIRE(rv > 0.0, "observation noise variance must be positive");
   }

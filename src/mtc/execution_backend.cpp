@@ -42,7 +42,8 @@ SimExecutionBackend::~SimExecutionBackend() {
 TaskId SimExecutionBackend::submit(std::size_t member, std::size_t attempt) {
   // The DES is single-threaded and submit() only schedules events, so
   // registering the job after submit cannot miss its completion.
-  const JobId job = sched_.submit(factory_(member, attempt));
+  Job spec = factory_(member, attempt);
+  const JobId job = sched_.submit(std::move(spec.body), spec.cores);
   tasks_[job] = TaskInfo{member, attempt};
   return job + 1;  // TaskId 0 is reserved for "not yet known"
 }

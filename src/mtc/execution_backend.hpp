@@ -85,10 +85,14 @@ class ExecutionBackend {
 /// observe completions through the fault layer instead.
 class SimExecutionBackend final : public ExecutionBackend {
  public:
-  /// Builds the simulated job body for (member, attempt).
+  /// One simulated attempt: its job body and the cores it reserves.
+  struct Job {
+    ClusterScheduler::JobBody body;
+    std::size_t cores = 1;
+  };
+  /// Builds the simulated job for (member, attempt).
   using BodyFactory =
-      std::function<ClusterScheduler::JobBody(std::size_t member,
-                                              std::size_t attempt)>;
+      std::function<Job(std::size_t member, std::size_t attempt)>;
 
   SimExecutionBackend(ClusterScheduler& sched, BodyFactory factory,
                       double expected_runtime_s = 0.0);

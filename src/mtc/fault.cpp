@@ -260,7 +260,6 @@ void FaultTolerantExecutor::resolve_locked(MemberState& st,
                                            std::size_t /*member*/,
                                            TaskOutcome outcome) {
   st.resolved = true;
-  ++members_resolved_;
   if (outcome == TaskOutcome::kDone) {
     ++stats_.members_done;
   } else if (outcome == TaskOutcome::kCancelled) {
@@ -470,7 +469,8 @@ FaultStats FaultTolerantExecutor::stats() const {
 
 std::size_t FaultTolerantExecutor::members_resolved() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return members_resolved_;
+  return stats_.members_done + stats_.members_cancelled +
+         stats_.members_lost;
 }
 
 }  // namespace essex::mtc

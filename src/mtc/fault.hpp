@@ -231,7 +231,6 @@ class FaultTolerantExecutor {
   std::size_t live_attempts_ = 0;
   std::size_t retries_pending_ = 0;
   std::size_t speculative_live_ = 0;
-  std::size_t members_resolved_ = 0;
   bool draining_ = false;
   bool shutdown_ = false;
   bool straggler_timer_armed_ = false;

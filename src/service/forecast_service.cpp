@@ -449,7 +449,8 @@ esse::ForecastResult run_parallel_forecast(const ForecastRequest& request) {
   sc.elastic = false;
   sc.admission.enforce_deadlines = false;
   service::ForecastService svc(sc);
-  service::ServiceRequest req{request};
+  const service::ServiceRequest req{
+      request, 0, std::numeric_limits<double>::infinity(), 0.0, {}};
   service::ForecastHandle handle = svc.submit(req);
   return handle.take_result();
 }

@@ -24,32 +24,60 @@ std::size_t total_planned(const SimRequestSpec& spec) {
   return n;
 }
 
-/// Hierarchy level of the idx-th dispatched member (level-major, fine
-/// level first — the same canonical order the real runner's gids use).
-std::size_t level_of_index(const SimRequestSpec& spec, std::size_t idx) {
-  std::size_t off = 0;
-  for (std::size_t l = 0; l < spec.members_per_level.size(); ++l) {
-    off += spec.members_per_level[l];
-    if (idx < off) return l;
-  }
-  return spec.members_per_level.empty() ? 0
-                                        : spec.members_per_level.size() - 1;
-}
-
 /// Admission work units: planned member cost relative to one fine
 /// member — the sim analogue of workflow::forecast_work_units.
 double spec_work_units(const SimRequestSpec& spec) {
-  if (!multilevel(spec))
-    return static_cast<double>(spec.max_members) + spec.surrogate_cost_ratio;
-  double units = spec.surrogate_cost_ratio;
+  if (!multilevel(spec)) return static_cast<double>(spec.max_members);
+  double units = 0.0;
   for (std::size_t l = 0; l < spec.members_per_level.size(); ++l) {
     units += static_cast<double>(spec.members_per_level[l]) *
-             std::pow(spec.level_cost_ratio, static_cast<double>(l));
+             std::pow(kSimLevelCostRatio, static_cast<double>(l));
   }
   return units;
 }
 
+/// Floor of any running request's member-slot budget.
+constexpr std::size_t kMinSlotsPerRequest = 2;
+
+// Service-wide member keys: request id from bit 32 up, hierarchy level
+// in bits 24-31, the member's index within its request below.
+constexpr std::size_t kMaxMembersPerRequest = std::size_t{1} << 24;
+constexpr std::size_t kMaxLevels = 256;
+
+std::size_t member_key(std::uint64_t request, std::size_t level,
+                       std::size_t index) {
+  return request << 32 | level << 24 | index;
+}
+
+/// Recovery policy of the twin's fault layer: the FaultPolicy retry and
+/// backoff defaults, without timeouts or straggler speculation. A twin
+/// member has a fixed modelled cost, so nothing hangs for a timeout to
+/// catch, and a speculative copy would hold a core outside its request's
+/// slot budget.
+mtc::FaultPolicy twin_fault_policy() {
+  mtc::FaultPolicy policy;
+  policy.timeout_multiple = 0.0;
+  policy.speculate = false;
+  return policy;
+}
+
 }  // namespace
+
+SimForecastService::Active::Active(const SimRequestSpec& s,
+                                   double pool_headroom)
+    : spec(s),
+      // Modelled convergence: satisfied once converge_at members landed,
+      // or every member the request may run.
+      orch({.ensemble = {s.initial_members, s.growth, s.max_members,
+                         s.min_members},
+            .pool_headroom = pool_headroom,
+            .members_per_level = multilevel(s) ? s.members_per_level
+                                               : std::vector<std::size_t>{},
+            .check_stride = 1,
+            .grow_lookahead = 0,
+            .goal = std::min(s.converge_at, multilevel(s)
+                                                ? total_planned(s)
+                                                : s.max_members)}) {}
 
 SimForecastService::SimForecastService(mtc::Simulator& sim,
                                        mtc::ClusterScheduler& sched,
@@ -58,19 +86,14 @@ SimForecastService::SimForecastService(mtc::Simulator& sim,
       admission_(config.admission) {
   ESSEX_REQUIRE(config_.max_inflight >= 1,
                 "sim service needs >= 1 inflight slot");
-  ESSEX_REQUIRE(config_.min_slots_per_request >= 1,
-                "member-slot floor must be >= 1");
-  sched_.set_completion_hook([this](const mtc::JobRecord& rec) {
-    auto it = job_owner_.find(rec.id);
-    if (it == job_owner_.end()) return;  // not ours (foreign job)
-    const std::uint64_t rid = it->second;
-    job_owner_.erase(it);
-    std::size_t level = 0;
-    if (auto lit = job_level_.find(rec.id); lit != job_level_.end()) {
-      level = lit->second;
-      job_level_.erase(lit);
-    }
-    on_member_done(rid, level, rec.status);
+  backend_ = std::make_unique<mtc::SimExecutionBackend>(
+      sched_, [this](std::size_t key, std::size_t /*attempt*/) {
+        return member_job(key);
+      });
+  exec_ = std::make_unique<mtc::FaultTolerantExecutor>(
+      *backend_, twin_fault_policy(), config_.sink);
+  exec_->set_member_hook([this](std::size_t key, mtc::TaskOutcome outcome) {
+    on_resolved(key, outcome);
   });
 }
 
@@ -126,14 +149,13 @@ std::uint64_t SimForecastService::submit(const SimRequestSpec& spec) {
             "level";
     } else if (multilevel(spec) && spec.members_per_level[0] < 2) {
       os << "spec.members_per_level: the fine level needs >= 2 members";
-    } else if (multilevel(spec) && !(spec.level_cost_ratio > 0.0 &&
-                                     spec.level_cost_ratio <= 1.0)) {
-      os << "spec.level_cost_ratio: cost discount must lie in (0, 1]";
+    } else if (spec.levels > kMaxLevels ||
+               (multilevel(spec) ? total_planned(spec) : spec.max_members) >
+                   kMaxMembersPerRequest) {
+      os << "spec.max_members: at most " << kMaxMembersPerRequest
+         << " members in " << kMaxLevels << " levels per request";
     } else if (spec.fine_cores < 1) {
       os << "spec.fine_cores: a fine member needs >= 1 core";
-    } else if (!(spec.surrogate_cost_ratio >= 0.0 &&
-                 spec.surrogate_cost_ratio <= 1.0)) {
-      os << "spec.surrogate_cost_ratio: surrogate cost must lie in [0, 1]";
     }
     const std::string msg = os.str();
     if (!msg.empty()) {
@@ -188,18 +210,10 @@ void SimForecastService::pump() {
 
 void SimForecastService::start(std::uint64_t id, const SimRequestSpec& spec,
                                double submitted_s) {
-  Active a(spec);
+  Active a(spec, config_.pool_headroom);
   a.id = id;
   a.submitted_s = submitted_s;
   a.started_s = sim_.now();
-  if (multilevel(spec)) {
-    // Fixed plan: every planned (level, member) runs unless convergence
-    // cancels the tail; the goal counts completions across all levels.
-    a.goal = std::min(spec.converge_at, total_planned(spec));
-    a.completed_per_level.assign(spec.levels, 0);
-  } else {
-    a.goal = std::min(spec.converge_at, spec.max_members);
-  }
   auto [it, inserted] = active_.emplace(id, std::move(a));
   ESSEX_ASSERT(inserted, "duplicate active request id");
   if (config_.sink) {
@@ -209,136 +223,91 @@ void SimForecastService::start(std::uint64_t id, const SimRequestSpec& spec,
                             static_cast<double>(active_.size()));
   }
   rebalance_slots();
-  fill(it->second);
+  launch(it->second);
 }
 
-std::size_t SimForecastService::pool_cap(const Active& a) const {
-  // Multilevel plans are fixed budgets: no headroom, no growth stages.
-  if (multilevel(a.spec)) return total_planned(a.spec);
-  return a.sizer.pool_target(config_.pool_headroom);
-}
-
-void SimForecastService::fill(Active& a) {
-  if (a.finishing) return;
-  const std::size_t cap = pool_cap(a);
-  while (a.outstanding < a.slots && a.dispatched < cap) submit_member(a);
-}
-
-void SimForecastService::submit_member(Active& a) {
-  std::size_t level = 0;
-  double cost = member_cost_s(config_.shape);
-  std::size_t cores = 1;
-  if (multilevel(a.spec)) {
-    level = level_of_index(a.spec, a.dispatched);
-    cost *= std::pow(a.spec.level_cost_ratio, static_cast<double>(level));
-    // Fine members may reserve several cores; coarse members are always
-    // 1-core so backfill packs them into slots fine members leave idle.
-    cores = level == 0 ? a.spec.fine_cores : 1;
+void SimForecastService::launch(Active& a) {
+  for (std::size_t index : a.orch.launch(a.slots)) {
+    exec_->run_member(member_key(a.id, a.orch.level_of(index), index));
   }
-  const mtc::JobId jid = sched_.submit(
-      [cost](mtc::JobContext& ctx) {
-        ctx.compute(cost, [&ctx] { ctx.finish(); });
-      },
-      cores);
-  job_owner_.emplace(jid, a.id);
-  job_level_.emplace(jid, level);
-  a.live_jobs.push_back(jid);
-  ++a.dispatched;
-  ++a.outstanding;
 }
 
-void SimForecastService::on_member_done(std::uint64_t request_id,
-                                        std::size_t level,
-                                        mtc::JobStatus status) {
-  auto it = active_.find(request_id);
+mtc::SimExecutionBackend::Job SimForecastService::member_job(
+    std::size_t key) const {
+  const Active& a = active_.at(key >> 32);
+  const std::size_t level = key >> 24 & (kMaxLevels - 1);
+  const double cost = member_cost_s(config_.shape) *
+                      std::pow(kSimLevelCostRatio, static_cast<double>(level));
+  // Fine members of a multilevel plan may reserve several cores; coarse
+  // members are always 1-core so backfill packs them into slots fine
+  // members leave idle.
+  const std::size_t cores =
+      a.orch.multilevel() && level == 0 ? a.spec.fine_cores : 1;
+  return {[cost](mtc::JobContext& ctx) {
+            ctx.compute(cost, [&ctx] { ctx.finish(); });
+          },
+          cores};
+}
+
+void SimForecastService::on_resolved(std::size_t key,
+                                     mtc::TaskOutcome outcome) {
+  auto it = active_.find(key >> 32);
   if (it == active_.end()) return;
   Active& a = it->second;
-  ESSEX_ASSERT(a.outstanding > 0, "member resolution with none outstanding");
-  --a.outstanding;
-  switch (status) {
-    case mtc::JobStatus::kDone:
-      ++a.completed;
-      if (level < a.completed_per_level.size()) ++a.completed_per_level[level];
-      break;
-    case mtc::JobStatus::kFailed: ++a.failed; break;
-    default: ++a.cancelled; break;  // kCancelled / kEvicted
-  }
-  if (a.finishing) return;  // draining; begin_finish() finalises
+  workflow::EnsembleOrchestrator& orch = a.orch;
+  orch.resolve(key % kMaxMembersPerRequest, outcome);
+  if (orch.stopped()) return;  // begin_finish() is cancelling the rest
 
-  if (a.completed >= a.goal) {
+  if (outcome == mtc::TaskOutcome::kDone) {
+    orch.absorb();
+    if (orch.check_due() && !orch.satisfies(orch.absorbed())) {
+      orch.check_failed();
+    }
+  }
+  // A met goal is never shrunk; a shrunk one may be met at once.
+  if (orch.shrink_for_deadline(sim_.now(), a.spec.deadline_s,
+                               member_cost_s(config_.shape), a.slots) &&
+      config_.sink) {
+    config_.sink->event("service.ensemble_shrink", sim_.now(),
+                        static_cast<double>(orch.goal()));
+  }
+  if (orch.satisfies(orch.absorbed())) {
     begin_finish(a);
     return;
   }
-  maybe_shrink_for_deadline(a);
-  if (a.completed >= a.goal) {
-    begin_finish(a);
-    return;
-  }
-  if (a.outstanding == 0 && a.dispatched >= pool_cap(a)) {
+  if (orch.drained()) {
     // Pool drained without reaching the goal: grow toward Nmax or give
-    // up with what landed (the real runner's unconverged fallback). A
-    // multilevel plan is its own budget — nothing left to grow.
-    if (multilevel(a.spec) || a.sizer.at_max()) {
+    // up with what landed (the real runner's unconverged fallback).
+    if (!orch.grow()) {
       begin_finish(a);
       return;
     }
-    a.sizer.grow();
     if (config_.sink) {
       config_.sink->event("service.ensemble_grow", sim_.now(),
-                          static_cast<double>(a.sizer.target()));
+                          static_cast<double>(orch.target()));
     }
   }
-  fill(a);
-}
-
-void SimForecastService::maybe_shrink_for_deadline(Active& a) {
-  if (!config_.shrink_under_deadline_pressure) return;
-  if (multilevel(a.spec)) return;  // fixed plan; no growth stages to undo
-  if (!std::isfinite(a.spec.deadline_s)) return;
-  if (a.sizer.at_min()) return;
-  const double cost = member_cost_s(config_.shape);
-  const double slots = static_cast<double>(std::max<std::size_t>(a.slots, 1));
-  const double remaining = static_cast<double>(a.goal - a.completed);
-  const double eta_s = sim_.now() + std::ceil(remaining / slots) * cost;
-  if (eta_s <= a.spec.deadline_s) return;
-  // Blowing the deadline at the current target: walk the ensemble back a
-  // growth stage and settle for a smaller (degraded) subspace instead.
-  const std::size_t new_target = a.sizer.shrink();
-  const std::size_t new_goal =
-      std::max(std::min(a.goal, new_target),
-               std::max<std::size_t>(a.spec.min_members, 2));
-  if (new_goal < a.goal) {
-    a.goal = new_goal;
-    a.degraded = true;
-    if (config_.sink) {
-      config_.sink->event("service.ensemble_shrink", sim_.now(),
-                          static_cast<double>(new_goal));
-    }
-  }
+  launch(a);
 }
 
 void SimForecastService::begin_finish(Active& a) {
-  a.finishing = true;
   a.done_s = sim_.now();
-  // §4.1 cancel-on-convergence: kill this request's queued and running
-  // members. Each cancel fires the completion hook synchronously, which
-  // re-enters on_member_done (early-returns in the finishing state).
-  std::vector<mtc::JobId> victims = std::move(a.live_jobs);
-  a.live_jobs.clear();
-  const std::uint64_t id = a.id;
-  for (mtc::JobId jid : victims) {
-    if (job_owner_.count(jid) == 0) continue;  // already resolved
-    sched_.cancel(jid);
+  // §4.1 cancel-on-convergence: cancel this request's queued, running and
+  // retry-pending members. Each cancellation resolves synchronously and
+  // re-enters on_resolved, which only records it once stopped.
+  for (std::size_t index : a.orch.stop()) {
+    exec_->cancel_member(member_key(a.id, a.orch.level_of(index), index));
   }
-  ESSEX_ASSERT(a.outstanding == 0,
+  ESSEX_ASSERT(a.orch.ledger().in_flight() == 0,
                "cancelled members did not all resolve synchronously");
-  finalize(id);
+  finalize(a.id);
 }
 
 void SimForecastService::finalize(std::uint64_t id) {
   auto it = active_.find(id);
   ESSEX_ASSERT(it != active_.end(), "finalize of unknown request");
   const Active& a = it->second;
+  const workflow::MemberLedger& ledger = a.orch.ledger();
 
   SimRequestOutcome out;
   out.id = a.id;
@@ -348,13 +317,13 @@ void SimForecastService::finalize(std::uint64_t id) {
   out.submitted_s = a.submitted_s;
   out.started_s = a.started_s;
   out.finished_s = a.done_s;
-  out.members_dispatched = a.dispatched;
-  out.members_completed = a.completed;
-  out.members_cancelled = a.cancelled;
-  out.members_failed = a.failed;
-  out.members_completed_per_level = a.completed_per_level;
-  out.converged = a.completed >= a.spec.converge_at;
-  out.degraded = a.degraded;
+  out.members_dispatched = ledger.dispatched;
+  out.members_completed = ledger.done;
+  out.members_cancelled = ledger.cancelled;
+  out.members_failed = ledger.lost;
+  out.members_completed_per_level = ledger.done_per_level;
+  out.converged = ledger.done >= a.spec.converge_at;
+  out.degraded = a.orch.degraded();
   out.deadline_met = a.done_s <= a.spec.deadline_s;
 
   ++stats_.completed;
@@ -380,7 +349,7 @@ void SimForecastService::rebalance_slots() {
   if (active_.empty()) return;
   const std::size_t total = sched_.schedulable_cores();
   const std::size_t base =
-      std::max(config_.min_slots_per_request, total / active_.size());
+      std::max(kMinSlotsPerRequest, total / active_.size());
   for (auto& [id, a] : active_) {
     const std::size_t old = a.slots;
     if (base == old) continue;
@@ -399,7 +368,7 @@ void SimForecastService::rebalance_slots() {
       config_.sink->event("service.slots", sim_.now(),
                           static_cast<double>(base));
     }
-    if (base > old) fill(a);
+    if (base > old) launch(a);
   }
 }
 

@@ -9,7 +9,11 @@
 // RuntimeEstimator, esse::EnsembleSizeController) over the DES
 // ClusterScheduler in simulated time, with the member *cost* modelled by
 // the calibrated EsseJobShape and convergence modelled by converge_at —
-// exactly the modelled-convergence idea of the Fig.-4 DES driver.
+// exactly the modelled-convergence idea of the Fig.-4 DES driver. Each
+// running request's pool decisions are a workflow::EnsembleOrchestrator,
+// as in the Fig.-4 DES driver; every request's members run through one
+// service-wide fault layer, so a failed or evicted member is retried
+// under its own id.
 //
 // Elasticity here is the DES rendering of "workers join/leave without
 // restart": each running request holds a member-slot budget (how many
@@ -24,14 +28,17 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "esse/convergence.hpp"
+#include "mtc/execution_backend.hpp"
+#include "mtc/fault.hpp"
 #include "mtc/job.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
 #include "service/admission.hpp"
+#include "workflow/ensemble_orchestrator.hpp"
 
 namespace essex::telemetry {
 class Sink;
@@ -48,11 +55,6 @@ struct SimServiceConfig {
   mtc::EsseJobShape shape;
   /// M = headroom × N when filling a request's member pool.
   double pool_headroom = 1.1;
-  /// Floor of any running request's member-slot budget.
-  std::size_t min_slots_per_request = 2;
-  /// Shrink the ensemble target of a deadline-pressed request instead of
-  /// letting it blow its deadline (EnsembleSizeController::shrink()).
-  bool shrink_under_deadline_pressure = true;
   /// Telemetry (nullable, not owned): `service.*` series stamped with
   /// simulated seconds — the same names the real server records.
   telemetry::Sink* sink = nullptr;
@@ -78,20 +80,17 @@ struct SimRequestSpec {
   /// shrink (the plan IS the budget, mirroring the real runner).
   std::size_t levels = 1;
   /// Planned members per level, fine (level 0) first; size == levels.
+  /// A level-l member costs kSimLevelCostRatio^l of a fine one.
   std::vector<std::size_t> members_per_level;
-  /// Per-level cost discount: a level-l member costs
-  /// member_cost × level_cost_ratio^l. Default 1/8 = factor-2 horizontal
-  /// coarsening under an advective CFL (¼ points × ½ steps).
-  double level_cost_ratio = 0.125;
   /// Cores a fine member job reserves; coarse members always take 1, so
   /// the backfill scheduler packs them into slots a fine member leaves
-  /// idle (ISSUE: nested-jobs policy).
+  /// idle (the §7 nested-jobs policy).
   std::size_t fine_cores = 1;
-  /// Multi-model surrogate cost relative to one fine member (the sim
-  /// analogue of the coarse companion forecast a kMultiModel cycle adds).
-  /// 0 = no surrogate; must lie in [0, 1].
-  double surrogate_cost_ratio = 0.0;
 };
+
+/// Cost of a level-(l+1) member relative to a level-l one: factor-2
+/// horizontal coarsening under an advective CFL (¼ points × ½ steps).
+inline constexpr double kSimLevelCostRatio = 0.125;
 
 /// Terminal record of one request (admitted or rejected).
 struct SimRequestOutcome {
@@ -108,6 +107,7 @@ struct SimRequestOutcome {
   std::size_t members_dispatched = 0;
   std::size_t members_completed = 0;
   std::size_t members_cancelled = 0;
+  /// Members lost after the fault layer's retries ran out.
   std::size_t members_failed = 0;
   /// Per-level completion counts (fine first); empty when levels == 1.
   std::vector<std::size_t> members_completed_per_level;
@@ -151,37 +151,23 @@ class SimForecastService {
     std::uint64_t id = 0;
     double submitted_s = 0.0;
     double started_s = 0.0;
-    esse::EnsembleSizeController sizer;
-    std::size_t goal = 0;   ///< members needed to finish (may shrink)
+    workflow::EnsembleOrchestrator orch;
     std::size_t slots = 0;  ///< member-slot budget (elasticity)
-    std::size_t dispatched = 0;
-    std::size_t outstanding = 0;  ///< member jobs on the cluster now
-    std::size_t completed = 0;
-    std::size_t cancelled = 0;
-    std::size_t failed = 0;
-    std::vector<std::size_t> completed_per_level;  ///< sized when levels > 1
-    std::vector<mtc::JobId> live_jobs;  ///< this request's cluster jobs
-    bool finishing = false;  ///< goal met/abandoned; draining cancels
-    bool degraded = false;
     double done_s = 0.0;  ///< time the goal was met/abandoned
 
-    explicit Active(const SimRequestSpec& s)
-        : spec(s), sizer(esse::EnsembleSizeController::Params{
-                       s.initial_members, s.growth, s.max_members,
-                       s.min_members}) {}
+    Active(const SimRequestSpec& s, double pool_headroom);
   };
 
   void pump();  ///< start queued requests while inflight slots remain
   void start(std::uint64_t id, const SimRequestSpec& spec, double submitted_s);
-  void fill(Active& a);
-  void submit_member(Active& a);
-  void on_member_done(std::uint64_t request_id, std::size_t level,
-                      mtc::JobStatus status);
-  void maybe_shrink_for_deadline(Active& a);
+  /// Launch the members the request's orchestrator hands out.
+  void launch(Active& a);
+  /// The fault layer's final outcome for one member (any request).
+  void on_resolved(std::size_t key, mtc::TaskOutcome outcome);
+  mtc::SimExecutionBackend::Job member_job(std::size_t key) const;
   void begin_finish(Active& a);
   void finalize(std::uint64_t id);
   void rebalance_slots();
-  std::size_t pool_cap(const Active& a) const;
 
   mtc::Simulator& sim_;
   mtc::ClusterScheduler& sched_;
@@ -193,10 +179,11 @@ class SimForecastService {
   std::map<std::uint64_t, SimRequestSpec> queued_specs_;
   std::map<std::uint64_t, double> queued_at_;
   std::map<std::uint64_t, Active> active_;
-  std::map<mtc::JobId, std::uint64_t> job_owner_;
-  /// Hierarchy level of each live member job: resolution (and the
-  /// exactly-once accounting behind it) is per (level, member).
-  std::map<mtc::JobId, std::size_t> job_level_;
+  /// One backend + fault layer for every request: the backend claims the
+  /// scheduler's single completion hook, and member keys encode
+  /// (request, level, index) so resolution is exactly-once per member.
+  std::unique_ptr<mtc::SimExecutionBackend> backend_;
+  std::unique_ptr<mtc::FaultTolerantExecutor> exec_;
   std::vector<SimRequestOutcome> outcomes_;
   ServiceStats stats_;
   std::uint64_t next_id_ = 1;

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "mtc/execution_backend.hpp"
+#include "workflow/ensemble_orchestrator.hpp"
 
 namespace essex::workflow {
 
@@ -108,7 +109,6 @@ double head_speed(const ClusterScheduler& sched,
 
 void fill_common_metrics(const ClusterScheduler& sched,
                          const std::vector<JobId>& member_jobs,
-                         const std::vector<MemberStats>& stats,
                          WorkflowMetrics& m) {
   // Serial driver: one job per member, so job-level and member-level
   // accounting coincide.
@@ -138,6 +138,15 @@ void fill_common_metrics(const ClusterScheduler& sched,
         break;
     }
   }
+}
+
+/// Close a run's metrics — pert CPU utilisation (mean over members whose
+/// pert ran) and NFS bytes — and publish the §5 figures into the
+/// telemetry session, so benches/tests read them out of recorded
+/// metrics, not driver fields.
+void publish_workflow_metrics(telemetry::Sink* sink, ClusterScheduler& sched,
+                              const std::vector<MemberStats>& stats,
+                              WorkflowMetrics& m) {
   double util_sum = 0;
   std::size_t util_n = 0;
   for (const auto& s : stats) {
@@ -148,13 +157,7 @@ void fill_common_metrics(const ClusterScheduler& sched,
   }
   m.pert_cpu_utilization =
       util_n ? util_sum / static_cast<double>(util_n) : 0;
-}
-
-/// Publish the workflow's §5 figures into the telemetry session so the
-/// benches/tests read them out of recorded metrics, not driver fields.
-void publish_workflow_metrics(telemetry::Sink* sink,
-                              const ClusterScheduler& sched,
-                              const WorkflowMetrics& m) {
+  m.nfs_bytes_moved = sched.nfs().bytes_moved();
   if (!sink) return;
   sink->gauge_set("workflow.makespan_s", m.makespan_s);
   sink->gauge_set("workflow.converged", m.converged ? 1.0 : 0.0);
@@ -288,20 +291,22 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
     done = true;
     metrics.makespan_s = sim.now();
     sched.set_completion_hook(nullptr);
-    fill_common_metrics(sched, member_jobs, env->stats, metrics);
-    metrics.nfs_bytes_moved = sched.nfs().bytes_moved();
-    publish_workflow_metrics(cfg.sink, sched, metrics);
+    fill_common_metrics(sched, member_jobs, metrics);
+    publish_workflow_metrics(cfg.sink, sched, env->stats, metrics);
   }
 };
 
 // ---- parallel driver (Fig. 4) ------------------------------------------
 
+/// DES adapter over EnsembleOrchestrator: the modelled differ and SVD
+/// timing on the master, the cancel policies and the deadline.
 struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
   Simulator& sim;
   ClusterScheduler& sched;
   EsseWorkflowConfig cfg;
   std::shared_ptr<BodyEnv> env;
   WorkflowMetrics metrics;
+  EnsembleOrchestrator orch;
 
   // Members are submitted through the unified ExecutionBackend API; the
   // fault layer owns retries, timeouts and straggler speculation, and
@@ -309,10 +314,6 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
   std::unique_ptr<mtc::SimExecutionBackend> backend;
   std::unique_ptr<mtc::FaultTolerantExecutor> exec;
 
-  std::size_t target = 0;     // N
-  std::size_t submitted = 0;  // members issued to the pool (M)
-  std::size_t completed = 0;  // members resolved kDone
-  std::size_t diffed = 0;
   std::size_t last_svd_n = 0;
   std::deque<std::size_t> diff_queue;
   std::vector<bool> output_seen;  // one diff per member, ever
@@ -320,24 +321,29 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
   bool svd_busy = false;
   bool svd_waiting = false;
   double svd_wait_start = 0;
-  std::size_t next_check = 0;
   bool done = false;
   bool draining = false;  // post-convergence final pass
   double last_activity = 0;  // last member/differ/SVD event time
 
   ParallelDriver(Simulator& s, ClusterScheduler& c,
                  const EsseWorkflowConfig& config)
-      : sim(s), sched(c), cfg(config) {
-    auto self_env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
-    self_env->stats.resize(cfg.max_members + 1);
-    env = self_env;
+      : sim(s), sched(c), cfg(config),
+        // Headroom pool, staged growth one stride ahead of the pool's
+        // end, modelled convergence at converge_at.
+        orch({.ensemble = {cfg.initial_members, cfg.growth, cfg.max_members,
+                           2},
+              .pool_headroom = cfg.pool_headroom,
+              .members_per_level = {},
+              .check_stride = cfg.svd_stride,
+              .grow_lookahead = cfg.svd_stride,
+              .goal = cfg.converge_at}) {
+    env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
+    env->stats.resize(cfg.max_members + 1);
     output_seen.resize(cfg.max_members + 1, false);
   }
 
   void start() {
     if (cfg.sink) sched.set_telemetry(cfg.sink);
-    target = cfg.initial_members;
-    next_check = std::min(cfg.svd_stride, target);
     auto self = shared_from_this();
     env->on_output_home = [self](std::size_t m) {
       self->on_member_output(m);
@@ -349,7 +355,8 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     backend = std::make_unique<mtc::SimExecutionBackend>(
         sched,
         [body_env = env](std::size_t member, std::size_t /*attempt*/) {
-          return make_member_body(body_env, member);
+          return mtc::SimExecutionBackend::Job{
+              make_member_body(body_env, member)};
         },
         expected_runtime);
     exec = std::make_unique<mtc::FaultTolerantExecutor>(*backend, cfg.fault,
@@ -361,7 +368,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
       self->last_activity = self->sim.now();
       self->maybe_drained();
     });
-    submit_up_to_pool();
+    launch();
     if (cfg.deadline_s > 0) {
       sim.at(cfg.deadline_s, [self] {
         if (!self->done) {
@@ -372,16 +379,15 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     }
   }
 
-  std::size_t pool_size() const {
-    const auto m = static_cast<std::size_t>(
-        std::ceil(static_cast<double>(target) * cfg.pool_headroom));
-    return std::min(m, cfg.max_members);
+  void launch() {
+    for (std::size_t member : orch.launch()) exec->run_member(member);
   }
 
-  void submit_up_to_pool() {
-    while (submitted < pool_size()) {
-      exec->run_member(submitted++);
-    }
+  void launch_grown() {
+    if (cfg.sink)
+      cfg.sink->event("workflow.pool_grown", sim.now(),
+                      static_cast<double>(orch.target()));
+    launch();
   }
 
   void on_member_output(std::size_t member) {
@@ -393,9 +399,9 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     pump_differ();
   }
 
-  void on_member_resolved(std::size_t /*member*/, TaskOutcome outcome) {
+  void on_member_resolved(std::size_t member, TaskOutcome outcome) {
     last_activity = sim.now();
-    if (outcome == TaskOutcome::kDone) ++completed;
+    orch.resolve(member, outcome);
     maybe_drained();
   }
 
@@ -406,7 +412,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     auto self = shared_from_this();
     sim.after(cfg.shape.diff_cpu_s / head_speed(sched, cfg), [self] {
       self->differ_busy = false;
-      ++self->diffed;
+      self->orch.absorb();
       self->last_activity = self->sim.now();
       self->poke_svd();
       self->pump_differ();
@@ -416,20 +422,20 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 
   void poke_svd() {
     if (done || svd_busy) return;
-    if (!draining && diffed < next_check) {
+    if (!draining && !orch.check_due()) {
       if (!svd_waiting) {
         svd_waiting = true;
         svd_wait_start = sim.now();
       }
       return;
     }
-    if (draining && diffed <= last_svd_n) return;
+    if (draining && orch.absorbed() <= last_svd_n) return;
     if (svd_waiting) {
       metrics.svd_idle_wait_s += sim.now() - svd_wait_start;
       svd_waiting = false;
     }
     svd_busy = true;
-    const std::size_t n = diffed;  // the "safe file" snapshot
+    const std::size_t n = orch.absorbed();  // the "safe file" snapshot
     ++metrics.svd_runs;
     if (cfg.sink)
       cfg.sink->event("workflow.svd_run", sim.now(),
@@ -445,12 +451,12 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 
   void convergence_check(std::size_t n) {
     if (done) return;
-    metrics.members_diffed = diffed;
+    metrics.members_diffed = orch.absorbed();
     if (draining) {
       maybe_drained();
       return;
     }
-    if (n >= cfg.converge_at) {
+    if (orch.satisfies(n)) {
       metrics.converged = true;
       metrics.converged_at_s = sim.now();
       if (cfg.sink)
@@ -459,29 +465,19 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
       apply_cancel_policy();
       return;
     }
-    // Uncapped on purpose: once every possible member has been diffed a
-    // next_check beyond max_members simply never triggers again, letting
-    // the event queue drain (capping here would re-fire the SVD forever).
-    next_check += cfg.svd_stride;
-    // Staged pool growth: enlarge before the pipeline can drain (§4.1).
-    if (diffed + cfg.svd_stride >= pool_size() &&
-        target < cfg.max_members) {
-      target = std::min(
-          cfg.max_members,
-          static_cast<std::size_t>(
-              std::ceil(static_cast<double>(target) * cfg.growth)));
-      if (cfg.sink)
-        cfg.sink->event("workflow.pool_grown", sim.now(),
-                        static_cast<double>(target));
-      submit_up_to_pool();
-    }
+    if (orch.check_failed()) launch_grown();
     poke_svd();
+    maybe_drained();
   }
 
   void apply_cancel_policy() {
     // Stop issuing retries and speculative copies first: convergence has
     // been reached, remaining work only runs out (or is spared).
     exec->enter_drain_mode();
+    orch.stop();
+    // The rest is the fault layer's live set, cancelled in its order:
+    // a cancelled running member frees a core that may start a queued
+    // one, so the order shows in the scheduler's dispatch counts.
     const bool spare = cfg.cancel_policy == CancelPolicy::kSpareNearFinish;
     for (const auto& [member, r] : exec->live_members()) {
       if (spare && r.state == TaskState::kRunning && r.started > 0) {
@@ -506,12 +502,23 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
   }
 
   void maybe_drained() {
-    if (!draining || done) return;
-    pump_differ();
-    if (!exec->idle() || !diff_queue.empty() || differ_busy || svd_busy) {
+    if (done) return;
+    const bool pipeline_idle =
+        diff_queue.empty() && !differ_busy && !svd_busy;
+    if (!draining) {
+      // Lost members can drain the pool below the next milestone: grow
+      // toward Nmax, or finish unconverged with what landed.
+      if (!pipeline_idle || !orch.drained()) return;
+      if (orch.grow()) {
+        launch_grown();
+      } else {
+        conclude(sim.now());
+      }
       return;
     }
-    if (last_svd_n < diffed) {
+    pump_differ();
+    if (!exec->idle() || !pipeline_idle) return;
+    if (last_svd_n < orch.absorbed()) {
       poke_svd();  // the final SVD over all available results
       return;
     }
@@ -522,24 +529,24 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     if (done) return;
     done = true;
     metrics.makespan_s = t;
-    metrics.members_diffed = diffed;
+    metrics.members_diffed = orch.absorbed();
     exec->cancel_all();
     const mtc::FaultStats fs = exec->stats();
-    metrics.members_dispatched = submitted;
-    metrics.members_completed = completed;
+    const MemberLedger& ledger = orch.ledger();
+    metrics.members_dispatched = ledger.dispatched;
+    metrics.members_completed = ledger.done;
     // Members still unresolved at teardown were killed by cancel_all();
     // fold them into the final-cancelled tally so member outcomes always
     // conserve against the dispatched count.
-    metrics.members_cancelled_final =
-        fs.members_cancelled + (submitted - exec->members_resolved());
+    metrics.members_cancelled_final = ledger.cancelled + ledger.in_flight();
     metrics.members_retried = fs.retries;
     metrics.members_evicted = fs.evictions;
-    metrics.members_lost = fs.members_lost;
+    metrics.members_lost = ledger.lost;
     metrics.speculative_launched = fs.speculative_launched;
     metrics.speculative_won = fs.speculative_won;
     // Graceful degradation: the subspace converged, but with fewer
     // members than planned because some exhausted their retries.
-    metrics.degraded = metrics.converged && fs.members_lost > 0;
+    metrics.degraded = metrics.converged && ledger.lost > 0;
     // Per-attempt accounting straight off the scheduler's records (every
     // job this driver runs on the scheduler is a member attempt).
     for (const JobRecord& r : sched.records()) {
@@ -558,24 +565,12 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
           break;
       }
     }
-    double util_sum = 0;
-    std::size_t util_n = 0;
-    for (const auto& s : env->stats) {
-      if (s.pert_cpu > 0) {
-        util_sum += s.pert_cpu / std::max(s.pert_cpu + s.pert_io, 1e-9);
-        ++util_n;
-      }
-    }
-    metrics.pert_cpu_utilization =
-        util_n ? util_sum / static_cast<double>(util_n) : 0;
-    metrics.nfs_bytes_moved = sched.nfs().bytes_moved();
-    publish_workflow_metrics(cfg.sink, sched, metrics);
+    publish_workflow_metrics(cfg.sink, sched, env->stats, metrics);
     if (cfg.sink) {
       cfg.sink->gauge_set(
           "fault.degradation",
-          target > 0 ? static_cast<double>(fs.members_lost) /
-                           static_cast<double>(target)
-                     : 0.0);
+          static_cast<double>(ledger.lost) /
+              static_cast<double>(orch.target()));
     }
     // Break the shared_ptr cycles through the hooks so the driver is
     // reclaimed once run_parallel_esse returns.

@@ -156,8 +156,9 @@ TEST(Determinism, AnalysisMethodIsThreadAndArrivalInvariant) {
     SCOPED_TRACE(esse::to_string(method));
     EXPECT_EQ(threads8.at(method), digest);
     EXPECT_EQ(arrival.at(method), digest);
-    if (method == esse::AnalysisMethod::kEsrf)
+    if (method == esse::AnalysisMethod::kEsrf) {
       EXPECT_EQ(obs_shuffled.at(method), digest);
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include "obs/instruments.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
+#include "service/sim_service.hpp"
 #include "workflow/esse_workflow_sim.hpp"
 #include "workflow/parallel_runner.hpp"
 
@@ -600,6 +601,67 @@ TEST(FaultyWorkflow, ConvergedRunWithLossesReportsDegraded) {
 
 }  // namespace
 }  // namespace essex::workflow
+
+// ---- the DES forecast-service twin on the fault layer ---------------------------
+
+namespace essex::service {
+namespace {
+
+TEST(SimServiceFaults, EvictedMembersAreRetriedUnderTheirOwnId) {
+  mtc::Simulator sim;
+  mtc::SchedulerParams sp = mtc::sge_params();
+  sp.faults.outage.mtbf_s = 1500.0;  // ~one outage per member runtime
+  sp.faults.outage.duration_s = 600.0;
+  sp.faults.seed = 7;
+  mtc::ClusterScheduler sched(sim, workflow::wf_cluster(4, 2), sp);
+  telemetry::Sink sink("twin-outages");
+  SimServiceConfig cfg;
+  cfg.max_inflight = 2;
+  cfg.sink = &sink;
+  SimForecastService svc(sim, sched, cfg);
+  SimRequestSpec spec;
+  spec.initial_members = 8;
+  spec.max_members = 16;
+  spec.converge_at = 8;
+  for (int i = 0; i < 3; ++i) {
+    sim.at(1000.0 * i, [&svc, spec] { svc.submit(spec); });
+  }
+  sim.run();
+
+  ASSERT_TRUE(svc.idle());
+  ASSERT_EQ(svc.outcomes().size(), 3u);
+  std::size_t dispatched = 0;
+  for (const SimRequestOutcome& out : svc.outcomes()) {
+    EXPECT_EQ(out.state, RequestState::kDone);
+    EXPECT_TRUE(out.converged);
+    // Each member id resolves exactly once, whatever its attempts did.
+    EXPECT_EQ(out.members_dispatched, out.members_completed +
+                                          out.members_cancelled +
+                                          out.members_failed);
+    dispatched += out.members_dispatched;
+  }
+  EXPECT_EQ(svc.leaked_members(), 0);
+  std::size_t evicted = 0;
+  for (const mtc::JobRecord& r : sched.records()) {
+    if (r.status == mtc::JobStatus::kEvicted) ++evicted;
+  }
+  ASSERT_GT(evicted, 0u);  // deterministic under the fixed seed
+  // An evicted member re-runs under its own id instead of a fresh one
+  // refilling its slot: some ids ran more than one scheduler job, and
+  // every extra job is a retry.
+  ASSERT_GT(sched.records().size(), dispatched);
+  const double retries = sink.metrics().value("fault.retries");
+  EXPECT_GT(retries, 0.0);
+  EXPECT_LE(static_cast<double>(sched.records().size()),
+            static_cast<double>(dispatched) + retries);
+  EXPECT_EQ(sink.metrics().value("fault.evictions"),
+            static_cast<double>(evicted));
+  EXPECT_EQ(sched.queued_jobs(), 0u);
+  EXPECT_EQ(sched.running_jobs(), 0u);
+}
+
+}  // namespace
+}  // namespace essex::service
 
 // ---- the real-thread runner + the esse-cycle degradation floor -----------------
 

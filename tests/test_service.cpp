@@ -295,6 +295,31 @@ TEST(SimService, MalformedSpecIsRejectedNotAborted) {
             std::string::npos);
 }
 
+TEST(SimService, RequestTooLargeForItsMemberKeysIsRejected) {
+  // Member keys give a request's index 24 bits and its level 8.
+  mtc::Simulator sim;
+  mtc::ClusterScheduler sched(sim, tiny_cluster(2, 2), mtc::sge_params());
+  SimForecastService svc(sim, sched, SimServiceConfig{});
+  SimRequestSpec huge;
+  huge.max_members = (std::size_t{1} << 24) + 1;
+  SimRequestSpec deep;
+  deep.levels = 257;
+  deep.members_per_level.assign(257, 2);
+  sim.at(0.0, [&] {
+    svc.submit(huge);
+    svc.submit(deep);
+  });
+  sim.run();
+  ASSERT_EQ(svc.outcomes().size(), 2u);
+  for (const SimRequestOutcome& out : svc.outcomes()) {
+    EXPECT_EQ(out.state, RequestState::kRejected);
+    EXPECT_EQ(out.rejection.reason, RejectReason::kInvalidRequest);
+    EXPECT_NE(out.rejection.message.find("spec.max_members"),
+              std::string::npos);
+  }
+  EXPECT_EQ(svc.leaked_members(), 0);
+}
+
 TEST(SimService, DeadlinePressureShrinksInsteadOfBlowingTheDeadline) {
   mtc::Simulator sim;
   mtc::ClusterScheduler sched(sim, tiny_cluster(2, 2), mtc::sge_params());
