@@ -174,8 +174,12 @@ JobId ClusterScheduler::submit(JobBody body, std::size_t cores) {
   if (telem_) telem_->count("sched.jobs_submitted");
   sim_.at(submit_ready_at_,
           [this, id, cores, body = std::move(body)]() mutable {
-    queue_.push_back({id, std::move(body), cores});
-    note_queue_depth();
+    // Cancelled while its submit overhead ran: cancel() already resolved
+    // it, so it must never reach the queue.
+    if (records_[id].status == JobStatus::kQueued) {
+      queue_.push_back({id, std::move(body), cores});
+      note_queue_depth();
+    }
     maybe_schedule_outage();
     if (params_.negotiation_interval_s > 0) {
       if (!negotiation_scheduled_) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "mtc/cluster.hpp"
@@ -234,6 +235,24 @@ TEST(Cancellation, QueuedJobNeverRuns) {
   sim.run();
   EXPECT_EQ(sched.record(a).status, JobStatus::kDone);
   EXPECT_EQ(sched.record(b).status, JobStatus::kCancelled);
+}
+
+TEST(Cancellation, JobCancelledDuringItsSubmitOverheadNeverRuns) {
+  Simulator sim;
+  const SchedulerParams p = sge_params();
+  ClusterScheduler sched(sim, tiny_cluster(2, 1), p);
+  std::vector<std::size_t> hook_calls(2, 0);
+  sched.set_completion_hook(
+      [&](const JobRecord& rec) { ++hook_calls.at(rec.id); });
+  JobId a = sched.submit(compute_job(100.0));
+  JobId b = sched.submit(compute_job(100.0));
+  sched.cancel(b);  // b is still inside its submit overhead
+  sim.run();
+  EXPECT_EQ(sched.record(a).status, JobStatus::kDone);
+  EXPECT_EQ(sched.record(b).status, JobStatus::kCancelled);
+  EXPECT_EQ(hook_calls, (std::vector<std::size_t>{1, 1}));
+  // One job's core: its dispatch latency plus 100 s of compute.
+  EXPECT_NEAR(sched.busy_core_seconds(), p.dispatch_latency_s + 100.0, 1e-6);
 }
 
 TEST(Cancellation, RunningJobFreesCoreImmediately) {
