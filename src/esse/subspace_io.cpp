@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -81,8 +82,22 @@ ErrorSubspace load_subspace(std::istream& f, const std::string& name) {
   }
   const std::uint64_t dim = read_u64(f, name);
   const std::uint64_t rank = read_u64(f, name);
-  if (dim == 0 || rank == 0 || rank > dim) {
+  // A forged header must fail before anything is allocated: the payload
+  // (rank sigmas plus dim × rank modes) is sized with checked arithmetic
+  // and must fit in the bytes left, when the stream can seek.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (dim == 0 || rank == 0 || rank > dim || dim > kMax / rank ||
+      dim * rank > kMax / sizeof(double) - rank) {
     throw Error("corrupt subspace header in " + name);
+  }
+  if (const std::streampos here = f.tellg(); here >= 0) {
+    f.seekg(0, std::ios::end);
+    const std::streamoff left = f.tellg() - here;
+    f.seekg(here);
+    const std::uint64_t payload = (dim * rank + rank) * sizeof(double);
+    if (!f || left < 0 || static_cast<std::uint64_t>(left) < payload) {
+      throw Error("truncated product file: " + name);
+    }
   }
   la::Vector sigmas(rank);
   f.read(reinterpret_cast<char*>(sigmas.data()),

@@ -23,7 +23,8 @@ void save_subspace(std::ostream& out, const ErrorSubspace& subspace);
 /// Read a subspace saved by save_subspace().
 ErrorSubspace load_subspace(const std::string& path);
 
-/// Stream variant; `name` labels the source in error messages.
+/// Stream variant; `name` labels the source in error messages. Header
+/// sizes are bounded by the bytes left only on a stream that can seek.
 ErrorSubspace load_subspace(std::istream& in,
                             const std::string& name = "<stream>");
 

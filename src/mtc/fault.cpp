@@ -467,10 +467,4 @@ FaultStats FaultTolerantExecutor::stats() const {
   return stats_;
 }
 
-std::size_t FaultTolerantExecutor::members_resolved() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_.members_done + stats_.members_cancelled +
-         stats_.members_lost;
-}
-
 }  // namespace essex::mtc

@@ -180,7 +180,6 @@ class FaultTolerantExecutor {
   std::vector<std::pair<std::size_t, TaskReport>> live_members() const;
 
   FaultStats stats() const;
-  std::size_t members_resolved() const;
 
   /// Scan running attempts against the p95 straggler threshold and
   /// launch speculative copies. Normally self-armed via backend timers;

@@ -46,7 +46,9 @@ std::optional<Rejection> AdmissionController::decide(
        << policy_.max_queued << " queued)";
     return Rejection{RejectReason::kQueueFull, os.str()};
   }
-  if (policy_.enforce_deadlines && std::isfinite(ticket.deadline_s)) {
+  // A finite deadline is checked against the request's expected cost,
+  // else the estimator's rolling view once completions exist.
+  if (std::isfinite(ticket.deadline_s)) {
     const double cost = ticket.expected_cost_s > 0.0
                             ? ticket.expected_cost_s
                             : estimator.estimate_s(ticket.work_units);

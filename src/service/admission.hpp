@@ -74,11 +74,6 @@ struct AdmissionPolicy {
   /// Bounded queue: submits beyond this many *queued* (not yet running)
   /// requests are rejected kQueueFull.
   std::size_t max_queued = 256;
-  /// Reject requests whose deadline cannot be met (kDeadlineInfeasible).
-  /// Needs a runtime estimate: the per-request expected cost, or the
-  /// estimator's rolling view once completions exist. With neither, the
-  /// deadline check admits optimistically.
-  bool enforce_deadlines = true;
   /// Safety multiplier on the estimated service time before comparing
   /// against the deadline (absorbs estimate noise and queue jitter).
   double runtime_safety = 1.25;

@@ -77,7 +77,6 @@ const esse::ForecastResult& ForecastHandle::result() const {
 esse::ForecastResult ForecastHandle::take_result() {
   (void)result();  // waits and throws on failure/cancel/reject
   std::lock_guard<std::mutex> lk(rec_->mu);
-  rec_->has_result = false;
   return std::move(rec_->result);
 }
 
@@ -98,12 +97,9 @@ ForecastService::ForecastService(ServiceConfig config)
                 "max_workers must be >= min_workers");
   ESSEX_REQUIRE(config_.max_inflight >= 1,
                 "service needs >= 1 concurrent request slot");
-  std::size_t initial = config_.initial_workers == 0 ? config_.min_workers
-                                                     : config_.initial_workers;
-  initial = std::clamp(initial, config_.min_workers, config_.max_workers);
-  member_pool_ = std::make_unique<ThreadPool>(initial);
+  member_pool_ = std::make_unique<ThreadPool>(config_.min_workers);
   orchestrators_ = std::make_unique<ThreadPool>(config_.max_inflight);
-  peak_workers_.store(initial, std::memory_order_relaxed);
+  peak_workers_.store(config_.min_workers, std::memory_order_relaxed);
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -268,7 +264,6 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
     } else {
       rec->state = RequestState::kDone;
       rec->result = std::move(outcome.result);
-      rec->has_result = true;
     }
     final_state = rec->state;
     --inflight_;
@@ -429,30 +424,3 @@ double deadline_from_timeline(const workflow::ForecastTimeline& timeline,
 }
 
 }  // namespace essex::service
-
-namespace essex::workflow {
-
-esse::ForecastResult run_parallel_forecast(const ForecastRequest& request) {
-  {
-    const auto issues = validate(request);
-    if (!issues.empty()) throw PreconditionError(describe(issues));
-  }
-  // One-shot mode: a private single-request service with a fixed pool of
-  // cycle.threads workers and elasticity off reproduces the pre-service
-  // runner exactly (same pool size, same core), so the determinism
-  // digests hold bitwise.
-  service::ServiceConfig sc;
-  const std::size_t workers =
-      std::max<std::size_t>(request.config.cycle.threads, 1);
-  sc.min_workers = sc.max_workers = sc.initial_workers = workers;
-  sc.max_inflight = 1;
-  sc.elastic = false;
-  sc.admission.enforce_deadlines = false;
-  service::ForecastService svc(sc);
-  const service::ServiceRequest req{
-      request, 0, std::numeric_limits<double>::infinity(), 0.0, {}};
-  service::ForecastHandle handle = svc.submit(req);
-  return handle.take_result();
-}
-
-}  // namespace essex::workflow

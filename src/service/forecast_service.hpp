@@ -46,12 +46,11 @@ namespace essex::service {
 
 /// Server sizing and policy knobs.
 struct ServiceConfig {
-  /// Member-worker pool bounds. The pool starts at `initial_workers`
-  /// (0 = min_workers) and, when `elastic`, tracks aggregate request
-  /// demand within [min_workers, max_workers].
+  /// Member-worker pool bounds. The pool starts at `min_workers` and,
+  /// when `elastic`, tracks aggregate request demand within
+  /// [min_workers, max_workers].
   std::size_t min_workers = 1;
   std::size_t max_workers = 8;
-  std::size_t initial_workers = 0;
   /// Requests run concurrently on the shared pool (each gets its own
   /// differ/SVD orchestration thread from an internal pool this size).
   std::size_t max_inflight = 1;
@@ -102,7 +101,6 @@ struct RequestRecord {
   mutable std::mutex mu;
   std::condition_variable cv;
   RequestState state = RequestState::kQueued;
-  bool has_result = false;
   esse::ForecastResult result;
   std::exception_ptr error;  ///< set when state == kFailed
   Rejection rejection;       ///< set when state == kRejected

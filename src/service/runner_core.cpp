@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "mtc/execution_backend.hpp"
+#include "workflow/ensemble_orchestrator.hpp"
 
 namespace essex::service {
 
@@ -98,17 +99,23 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   esse::Differ differ(central, tiling);
   differ.set_sink(sink);  // differ.* cache counters + check latency
   esse::ConvergenceTest conv(cp.convergence);
-  esse::EnsembleSizeController sizer(cp.ensemble);
   workflow::TripleBufferStore<esse::AnomalyView> store;
 
+  // The Fig.-4 pool decisions (DESIGN.md §18), growing only when the
+  // pool drains. Member outcomes arrive on worker threads, so every
+  // orchestrator call is made under `mu`.
+  workflow::EnsembleOrchestrator orch(
+      {.ensemble = cp.ensemble,
+       .pool_headroom = config.pool_headroom,
+       .members_per_level = ml ? mlp.members_per_level
+                               : std::vector<std::size_t>{},
+       .check_stride = config.svd_min_new_members});
   std::mutex mu;
   std::condition_variable cv;
   std::size_t promoted_milestone = 0;  // last milestone pushed to the store
-  std::size_t resolved = 0;  // members with a final outcome
 
   esse::ForecastResult out;
   esse::MtcAccounting acct;
-  std::size_t submitted = 0;
 
   // The member closure both Fig.-4 drivers share in shape: it runs one
   // attempt of one member; throwing reports TaskOutcome::kFailed and the
@@ -188,40 +195,34 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
         cv.notify_all();
       });
   mtc::FaultTolerantExecutor exec(backend, config.fault, sink);
-  exec.set_member_hook([&](std::size_t /*member*/, mtc::TaskOutcome) {
+  exec.set_member_hook([&](std::size_t member, mtc::TaskOutcome outcome) {
     {
+      // A done member was absorbed by the differ before it resolved.
       std::lock_guard<std::mutex> lk(mu);
-      ++resolved;
+      orch.resolve(member, outcome);
+      if (outcome == mtc::TaskOutcome::kDone) orch.absorb();
     }
     cv.notify_all();
   });
   Teardown teardown{exec, backend};
 
-  auto fill_pool = [&] {
-    std::size_t cap;
-    if (ml) {
-      // Fixed multilevel layout: the planned per-level mix is the pool
-      // (no speculative headroom — ids beyond the plan have no level,
-      // and column weights are derived from the planned counts).
-      cap = mlp.total_members();
-    } else {
-      const auto m = static_cast<std::size_t>(std::ceil(
-          static_cast<double>(sizer.target()) * config.pool_headroom));
-      cap = std::max(sizer.target(),
-                     std::min(m, cp.ensemble.max_members));
-    }
-    while (submitted < cap) exec.run_member(submitted++);
+  auto launch = [&] {
+    std::unique_lock<std::mutex> lk(mu);
+    const std::vector<std::size_t> ids = orch.launch();
+    const std::size_t cap = orch.capacity();
+    lk.unlock();
+    for (std::size_t id : ids) exec.run_member(id);
     if (sink) {
-      sink->gauge_set("runner.pool_size", static_cast<double>(submitted));
+      sink->gauge_set("runner.pool_size", static_cast<double>(cap));
       sink->event("runner.pool_size", telemetry::wall_seconds(),
-                  static_cast<double>(submitted));
+                  static_cast<double>(cap));
     }
     // Tell the service how many member workers this request can use so
     // the shared pool can stretch toward it (and hand slots back later).
     if (hooks.demand) hooks.demand(cap);
   };
 
-  fill_pool();
+  launch();
 
   std::uint64_t last_version = 0;
   // Deterministic milestone schedule: convergence is checked at ensemble
@@ -231,7 +232,6 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   // once; they are processed strictly in order, so the ρ history — and
   // the milestone that declares convergence — is a pure function of the
   // seed and configuration.
-  std::size_t next_check = config.svd_min_new_members;
   std::optional<esse::ErrorSubspace> converged_sub;
   std::size_t converged_members = 0;
   for (;;) {
@@ -241,7 +241,7 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
     {
       std::unique_lock<std::mutex> lk(mu);
       cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
-        return store.version() != last_version || resolved >= submitted ||
+        return store.version() != last_version || orch.drained() ||
                cancelled_now();
       });
     }
@@ -254,10 +254,15 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
     if (snap.version != last_version && snap.data) {
       last_version = snap.version;
       const std::size_t avail = snap.data->count();
-      while (next_check <= avail && !conv.converged()) {
-        const std::size_t c = next_check;
-        next_check += config.svd_min_new_members;
-        if (c < 2) continue;  // spread needs two members
+      for (;;) {
+        std::size_t c;
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          if (!orch.check_due(avail)) break;
+          c = orch.next_check();
+          if (c < 2) orch.check_failed(avail);  // spread needs two members
+        }
+        if (c < 2) continue;
         ++acct.svd_runs;
         telemetry::ScopedTimer timer(sink, "runner.svd_s");
         esse::ErrorSubspace sub =
@@ -273,28 +278,32 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
           // recomputed later from the racy post-cancellation member set.
           converged_sub = std::move(sub);
           converged_members = c;
+          break;
         }
+        std::lock_guard<std::mutex> lk(mu);
+        orch.check_failed(avail);
       }
       if (conv.converged()) break;  // §4.1: cancel the remaining members
     }
-    std::size_t resolved_now;
     {
+      // Pool drained without convergence and the latest snapshot read:
+      // grow toward Nmax or stop (the multilevel mix is fixed — no
+      // growth stage to fall back on).
       std::lock_guard<std::mutex> lk(mu);
-      resolved_now = resolved;
+      if (!orch.drained() || store.version() != last_version) continue;
+      if (!orch.grow()) break;
     }
-    if (resolved_now >= submitted && store.version() == last_version) {
-      // Pool drained without convergence: grow toward Nmax or stop (the
-      // multilevel mix is fixed — no growth stage to fall back on).
-      if (ml || sizer.at_max()) break;
-      sizer.grow();
-      fill_pool();
-    }
+    launch();
   }
   // Stop launching and cancel live attempts, let running workers land,
   // then join the timer thread — only after that is it safe for the
   // executor and its hooks to go out of scope.
   teardown.run();
   const mtc::FaultStats fstats = exec.stats();
+  const workflow::MemberLedger ledger = [&] {
+    std::lock_guard<std::mutex> lk(mu);
+    return orch.ledger();
+  }();
 
   // Graceful degradation has a floor (FaultPolicy::min_members): proceed
   // with the survivors of a faulty run, but not below N′.
@@ -328,21 +337,20 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
         model, request.initial, t0_hours, cp.forecast_hours, cp.analysis);
     if (sink) sink->count("runner.surrogate_runs");
   }
-  acct.members_submitted = submitted;
-  acct.members_cancelled = submitted - out.members_run;
+  acct.members_submitted = ledger.dispatched;
+  acct.members_cancelled = ledger.dispatched - out.members_run;
   acct.store_versions = store.version();
-  acct.members_done = fstats.members_done;
+  acct.members_done = ledger.done;
   // Members still unresolved when cancel_all() tore the pool down ended
   // cancelled; fold them in so member outcomes conserve against the
   // submitted count.
-  acct.members_cancelled_final =
-      fstats.members_cancelled + (submitted - exec.members_resolved());
+  acct.members_cancelled_final = ledger.cancelled + ledger.in_flight();
   acct.members_failed = fstats.failed_attempts;
   acct.members_retried = fstats.retries;
   acct.speculative_launched = fstats.speculative_launched;
   acct.speculative_won = fstats.speculative_won;
-  acct.members_lost = fstats.members_lost;
-  acct.degraded = out.converged && fstats.members_lost > 0;
+  acct.members_lost = ledger.lost;
+  acct.degraded = out.converged && ledger.lost > 0;
   if (sink) {
     sink->count("runner.members_submitted",
                 static_cast<double>(acct.members_submitted));
@@ -364,3 +372,12 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
 }
 
 }  // namespace essex::service
+
+namespace essex::workflow {
+
+esse::ForecastResult run_parallel_forecast(const ForecastRequest& request) {
+  ThreadPool pool(std::max<std::size_t>(request.config.cycle.threads, 1));
+  return service::execute_forecast(request, pool, {}).result;
+}
+
+}  // namespace essex::workflow

@@ -1,18 +1,18 @@
-// ESSEX: the Fig. 4 parallel ESSE execution core, service edition.
+// ESSEX: the Fig. 4 parallel ESSE execution core on real threads.
 //
-// This is run_parallel_forecast's former body, re-housed so a persistent
-// ForecastService can run many concurrent requests over ONE shared member
-// pool: the pool is borrowed (not owned), teardown drains only this
-// request's attempts (ThreadExecutionBackend::drain_tasks, never the
-// pool-wide wait_idle), a request-level cancel flag aborts mid-run, and a
-// demand hook reports the runner's desired worker count whenever the
-// ensemble target moves — the service's elasticity loop turns that into
-// ThreadPool::resize, so workers join a running ensemble without restart.
+// A persistent ForecastService runs many concurrent requests through it
+// over ONE shared member pool; run_parallel_forecast calls it directly
+// on a private pool. The pool is borrowed (not owned), teardown drains
+// only this request's attempts (ThreadExecutionBackend::drain_tasks,
+// never the pool-wide wait_idle), a request-level cancel flag aborts
+// mid-run, and a demand hook reports the runner's desired worker count
+// whenever the ensemble target moves — the service's elasticity loop
+// turns that into ThreadPool::resize. The pool decisions are a
+// workflow::EnsembleOrchestrator's (DESIGN.md §18).
 //
-// The determinism contract (DESIGN.md §10) is untouched: the member
-// closure, milestone schedule and canonical prefix logic are verbatim,
-// and neither pool sharing nor mid-run resizes can change which members
-// feed which convergence check.
+// The determinism contract (DESIGN.md §10): milestones are checked over
+// the canonical contiguous-id prefix, so neither pool sharing nor
+// mid-run resizes can change which members feed which check.
 #pragma once
 
 #include <atomic>
@@ -43,10 +43,10 @@ struct ExecOutcome {
   bool cancelled = false;
 };
 
-/// Run one validated forecast request on `pool`. Throws (PreconditionError
-/// on a violated degradation floor, model errors, ...) — the service
-/// catches and maps exceptions onto the handle; the one-shot wrapper lets
-/// them propagate exactly as run_parallel_forecast always did.
+/// Validate and run one forecast request on `pool`. Throws
+/// (PreconditionError on validation issues or a violated degradation
+/// floor, model errors, ...) — the service catches and maps exceptions
+/// onto the handle; the one-shot wrapper lets them propagate.
 ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                              ThreadPool& pool, const ExecHooks& hooks);
 

@@ -260,8 +260,9 @@ void SimForecastService::on_resolved(std::size_t key,
 
   if (outcome == mtc::TaskOutcome::kDone) {
     orch.absorb();
-    if (orch.check_due() && !orch.satisfies(orch.absorbed())) {
-      orch.check_failed();
+    if (orch.check_due(orch.absorbed()) &&
+        !orch.satisfies(orch.absorbed())) {
+      orch.check_failed(orch.absorbed());
     }
   }
   // A met goal is never shrunk; a shrunk one may be met at once.

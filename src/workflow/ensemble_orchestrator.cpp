@@ -15,7 +15,7 @@ EnsembleOrchestrator::EnsembleOrchestrator(Params params)
       planned_(std::accumulate(params_.members_per_level.begin(),
                                params_.members_per_level.end(),
                                std::size_t{0})),
-      next_check_(std::min(params_.check_stride, sizer_.target())),
+      next_check_(params_.check_stride),
       goal_(params_.goal) {
   if (multilevel())
     ledger_.done_per_level.assign(params_.members_per_level.size(), 0);
@@ -60,11 +60,11 @@ void EnsembleOrchestrator::resolve(std::size_t id, mtc::TaskOutcome outcome) {
   }
 }
 
-bool EnsembleOrchestrator::check_failed() {
+bool EnsembleOrchestrator::check_failed(std::size_t count) {
   // Uncapped on purpose: a milestone beyond Nmax never comes due again.
   next_check_ += params_.check_stride;
   if (params_.grow_lookahead == 0 ||
-      absorbed_ + params_.grow_lookahead < capacity()) {
+      count + params_.grow_lookahead < capacity()) {
     return false;
   }
   return grow();

@@ -47,10 +47,9 @@ class EnsembleOrchestrator {
     /// Fixed multilevel plan, fine level first (level-major ids). With
     /// more than one level the plan is the pool: no growth or shrink.
     std::vector<std::size_t> members_per_level;
-    std::size_t check_stride = 1;  ///< absorbed members between checks
-    /// §4.1 staged growth: a failed check grows the pool once the
-    /// absorbed count is this close to its end. 0 = grow only when the
-    /// pool drains.
+    std::size_t check_stride = 1;  ///< milestones at k·check_stride
+    /// §4.1 staged growth: a failed check grows the pool once the checked
+    /// count is this close to its end. 0 = grow only when the pool drains.
     std::size_t grow_lookahead = 0;
     /// Absorbed members that satisfy modelled convergence.
     std::size_t goal = kUnbounded;
@@ -72,13 +71,19 @@ class EnsembleOrchestrator {
   /// A done member's result joined the ensemble.
   void absorb() { ++absorbed_; }
 
-  /// The absorbed count reached the next convergence milestone.
-  bool check_due() const { return !stopped_ && absorbed_ >= next_check_; }
+  /// `count` reached the next milestone, next_check(). The adapter picks
+  /// the count: absorbed() in the DES, the contiguous-id prefix of the
+  /// promoted snapshot on real threads (schedule-free checks).
+  bool check_due(std::size_t count) const {
+    return !stopped_ && count >= next_check_;
+  }
+  std::size_t next_check() const { return next_check_; }
   /// Modelled convergence: `n` absorbed members meet the goal.
   bool satisfies(std::size_t n) const { return n >= goal_; }
-  /// The check at the due milestone failed: schedule the next one and
-  /// apply staged growth. True when the pool grew (call launch()).
-  bool check_failed();
+  /// The check at the due milestone failed or was skipped: schedule the
+  /// next one and apply staged growth against `count`. True when the
+  /// pool grew (call launch()).
+  bool check_failed(std::size_t count);
 
   /// Every dispatched member resolved and absorbed at full capacity:
   /// nothing more arrives unless the pool grows.

@@ -422,7 +422,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 
   void poke_svd() {
     if (done || svd_busy) return;
-    if (!draining && !orch.check_due()) {
+    if (!draining && !orch.check_due(orch.absorbed())) {
       if (!svd_waiting) {
         svd_waiting = true;
         svd_wait_start = sim.now();
@@ -465,7 +465,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
       apply_cancel_policy();
       return;
     }
-    if (orch.check_failed()) launch_grown();
+    if (orch.check_failed(orch.absorbed())) launch_grown();
     poke_svd();
     maybe_drained();
   }

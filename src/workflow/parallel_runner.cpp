@@ -7,12 +7,10 @@
 #include "common/error.hpp"
 #include "ocean/state.hpp"
 
-// The Fig.-4 execution loop itself lives in src/service/runner_core.cpp
-// and run_parallel_forecast() in src/service/forecast_service.cpp: every
-// one-shot call now routes through the persistent ForecastService, so
-// this translation unit keeps the validation surface the service uses
-// for structured request rejection, plus the cycle that puts the ESSE
-// analysis behind that forecast.
+// The Fig.-4 execution loop itself and run_parallel_forecast() live in
+// src/service/runner_core.cpp, so this translation unit keeps the
+// validation surface the service uses for structured request rejection,
+// plus the cycle that puts the ESSE analysis behind that forecast.
 
 namespace essex::workflow {
 

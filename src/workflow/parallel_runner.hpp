@@ -104,13 +104,12 @@ double forecast_work_units(const ForecastRequest& request);
 /// accounting (pool size, cancellations, SVD runs, store versions) fed by
 /// the recorded metrics.
 ///
-/// Since the ForecastService redesign this is a thin convenience wrapper:
-/// it validates the request (throwing PreconditionError on issues, as it
-/// always has), stands up a one-request essex::service::ForecastService
-/// sized to `config.cycle.threads`, and blocks on the handle — so every
-/// caller, bench and testkit oracle exercises the service path. The
-/// definition lives in src/service/forecast_service.cpp; link
-/// essex_service.
+/// A thin wrapper over service::execute_forecast, the loop the
+/// ForecastService runs for every request: it runs the request on a
+/// private pool of `config.cycle.threads` workers (at least one) on the
+/// calling thread, with no dispatcher, admission or handle. Validation
+/// issues throw PreconditionError. The definition lives in
+/// src/service/runner_core.cpp; link essex_service.
 ///
 /// Determinism contract (DESIGN.md §10): for a fixed configuration and
 /// seed the returned central forecast, subspace, convergence history and

@@ -9,11 +9,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
+#include "esse/repro.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/execution_backend.hpp"
 #include "mtc/fault.hpp"
@@ -28,6 +30,12 @@
 
 namespace essex::mtc {
 namespace {
+
+/// Members with a final outcome: every resolution lands in one of the
+/// three member-level FaultStats counters.
+std::size_t members_resolved(const FaultStats& s) {
+  return s.members_done + s.members_cancelled + s.members_lost;
+}
 
 // ---- a hand-cranked backend for deterministic executor tests -------------------
 
@@ -194,7 +202,7 @@ TEST(FaultExecutor, MemberLostWhenRetriesExhausted) {
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kFailed);
   EXPECT_EQ(exec.stats().members_lost, 1u);
-  EXPECT_EQ(exec.members_resolved(), 1u);
+  EXPECT_EQ(members_resolved(exec.stats()), 1u);
 }
 
 TEST(FaultExecutor, TimeoutBudgetCoversRunTimeNotQueueWait) {
@@ -309,7 +317,7 @@ TEST(FaultExecutor, SpeculativeCopyCanWinTheRace) {
   ASSERT_EQ(s.resolved.size(), 3u);
   EXPECT_EQ(s.resolved.back().outcome, TaskOutcome::kDone);
   EXPECT_EQ(s.exec->stats().speculative_won, 1u);
-  EXPECT_EQ(s.exec->members_resolved(), 3u);
+  EXPECT_EQ(members_resolved(s.exec->stats()), 3u);
 }
 
 TEST(FaultExecutor, CancelAllStopsRetriesAndCancelsLiveAttempts) {
@@ -711,6 +719,36 @@ TEST_F(FaultRunnerFixture, InjectedFailuresAreRetriedToCompletion) {
   EXPECT_EQ(res.mtc->members_lost, 0u);
   EXPECT_EQ(res.mtc->members_submitted,
             res.members_run + res.mtc->members_cancelled);
+}
+
+TEST_F(FaultRunnerFixture, LostMembersStillGrowThePoolToNmax) {
+  // Never converges (rho < 1), and no retries: roughly a third of the
+  // members are lost, yet every drained pool grows, 10 -> 20 -> 32.
+  workflow::ParallelRunnerConfig cfg = fast_retry_config();
+  cfg.cycle.ensemble = {8, 2.0, 32};
+  cfg.cycle.convergence.similarity_threshold = 1.0;
+  cfg.fault.max_retries = 0;
+  cfg.inject.segment.probability = 0.3;
+  cfg.inject.seed = 77;
+  std::string digest;
+  for (std::size_t threads : {1, 3}) {
+    cfg.cycle.threads = threads;
+    ForecastResult res = workflow::run_parallel_forecast(
+        workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
+    ASSERT_TRUE(res.mtc.has_value());
+    const MtcAccounting& a = *res.mtc;
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(a.members_submitted, 32u) << threads << " threads";
+    EXPECT_GT(a.members_lost, 0u);
+    EXPECT_EQ(a.members_done + a.members_lost + a.members_cancelled_final,
+              a.members_submitted);
+    EXPECT_EQ(res.members_run, a.members_done);
+    if (digest.empty()) {
+      digest = forecast_digest(res);
+    } else {
+      EXPECT_EQ(forecast_digest(res), digest) << threads << " threads";
+    }
+  }
 }
 
 TEST_F(FaultRunnerFixture, AllMembersLostTripsTheDegradationFloor) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <fstream>
 #include <sstream>
 
@@ -127,6 +129,42 @@ TEST(SubspaceIo, EveryHeaderTruncationThrowsTheTruncationError) {
   }
   EXPECT_THROW(esse::load_subspace(path), Error);
   std::remove(path.c_str());
+}
+
+// A subspace product whose header announces `dim` x `rank` modes, with
+// 64 bytes of payload behind it.
+std::string forged_subspace(std::uint64_t dim, std::uint64_t rank) {
+  std::ostringstream out(std::ios::binary);
+  out.write(ocean::esxf::kMagic, 4);
+  const std::uint32_t version = ocean::esxf::kVersion;
+  const std::uint32_t kind = ocean::esxf::kKindSubspace;
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&kind), sizeof(kind));
+  out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  out << std::string(64, '\0');
+  return out.str();
+}
+
+TEST(SubspaceIo, ForgedSizeThatOverflowsThrowsTheLibraryError) {
+  // 2^62 x 4 doubles overflows 64-bit size arithmetic.
+  std::istringstream in(forged_subspace(std::uint64_t{1} << 62, 4),
+                        std::ios::binary);
+  EXPECT_THROW(esse::load_subspace(in, "forged"), Error);
+}
+
+TEST(SubspaceIo, ForgedSizeBeyondTheStreamThrowsTheLibraryError) {
+  // 2^40 x 4 doubles is 32 TiB: refused before anything is allocated,
+  // not escaping as std::bad_alloc.
+  std::istringstream in(forged_subspace(std::uint64_t{1} << 40, 4),
+                        std::ios::binary);
+  try {
+    esse::load_subspace(in, "forged");
+    FAIL() << "a header announcing more than the stream holds must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SubspaceIo, StreamAndFileVariantsProduceIdenticalBytes) {

@@ -545,7 +545,7 @@ TEST_F(ServiceFixture, ConcurrentRequestsMatchTheOneShotPathBitwise) {
       workflow::run_parallel_forecast(quick_request());
 
   ServiceConfig cfg;
-  cfg.min_workers = cfg.max_workers = cfg.initial_workers = 2;
+  cfg.min_workers = cfg.max_workers = 2;
   cfg.max_inflight = 2;
   cfg.elastic = false;
   ForecastService svc(cfg);
@@ -571,7 +571,7 @@ TEST_F(ServiceFixture, ConcurrentRequestsMatchTheOneShotPathBitwise) {
 
 TEST_F(ServiceFixture, StatsCountEveryDoneHandleWithoutDrain) {
   ServiceConfig cfg;
-  cfg.min_workers = cfg.max_workers = cfg.initial_workers = 2;
+  cfg.min_workers = cfg.max_workers = 2;
   cfg.max_inflight = 2;
   cfg.elastic = false;
   ForecastService svc(cfg);

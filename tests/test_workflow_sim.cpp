@@ -260,12 +260,12 @@ TEST(Orchestrator, StagedGrowthAtAFailedCheckAndGrowthOnDrain) {
                             : mtc::TaskOutcome::kFailed);
   }
   for (int i = 0; i < 4; ++i) orch.absorb();
-  ASSERT_TRUE(orch.check_due());
+  ASSERT_TRUE(orch.check_due(orch.absorbed()));
   EXPECT_FALSE(orch.satisfies(orch.absorbed()));
-  EXPECT_FALSE(orch.check_failed());  // 4 + 4 < 10: not yet
+  EXPECT_FALSE(orch.check_failed(orch.absorbed()));  // 4 + 4 < 10: not yet
   orch.absorb();
   orch.absorb();
-  EXPECT_FALSE(orch.check_due());  // next milestone is 8
+  EXPECT_FALSE(orch.check_due(orch.absorbed()));  // next milestone is 8
   // Six landed, four lost: the pool drained below the milestone.
   ASSERT_TRUE(orch.drained());
   ASSERT_TRUE(orch.grow());
@@ -275,17 +275,38 @@ TEST(Orchestrator, StagedGrowthAtAFailedCheckAndGrowthOnDrain) {
     orch.resolve(id, mtc::TaskOutcome::kDone);
     orch.absorb();
   }
-  ASSERT_TRUE(orch.check_due());
-  EXPECT_FALSE(orch.check_failed());  // 8 + 4 < 20
+  ASSERT_TRUE(orch.check_due(orch.absorbed()));
+  EXPECT_FALSE(orch.check_failed(orch.absorbed()));  // 8 + 4 < 20
   // Staged growth one stride before the pool's end.
   for (std::size_t id = 12; id < 20; ++id) {
     orch.resolve(id, mtc::TaskOutcome::kDone);
     orch.absorb();
   }
-  ASSERT_TRUE(orch.check_due());
+  ASSERT_TRUE(orch.check_due(orch.absorbed()));
   EXPECT_FALSE(orch.satisfies(orch.absorbed()));
-  EXPECT_TRUE(orch.check_failed());  // 16 + 4 >= 20
+  EXPECT_TRUE(orch.check_failed(orch.absorbed()));  // 16 + 4 >= 20
   EXPECT_EQ(orch.target(), 32u);
+}
+
+TEST(Orchestrator, MilestonesFollowTheCountPassedInNotTheAbsorbedCount) {
+  EnsembleOrchestrator orch(orchestrator_params());
+  for (std::size_t id : orch.launch()) {
+    orch.resolve(id, mtc::TaskOutcome::kDone);
+    orch.absorb();
+  }
+  ASSERT_EQ(orch.absorbed(), 10u);
+  // The count passed in decides, not absorbed(): the real runner passes
+  // its contiguous-id prefix, which lags while a lower id is still out.
+  EXPECT_EQ(orch.next_check(), 4u);
+  EXPECT_FALSE(orch.check_due(3));
+  ASSERT_TRUE(orch.check_due(4));
+  // Staged growth measures the same count: 4 + 4 < 10 keeps the pool,
+  // although the absorbed count (10 + 4 >= 10) would have grown it.
+  EXPECT_FALSE(orch.check_failed(4));
+  EXPECT_EQ(orch.target(), 8u);
+  EXPECT_EQ(orch.next_check(), 8u);
+  EXPECT_FALSE(orch.check_due(7));
+  EXPECT_TRUE(orch.check_due(8));
 }
 
 TEST(Orchestrator, FixedMultilevelPlanNeverGrows) {
