@@ -64,7 +64,7 @@ int main() {
     }
   }
   t.print(std::cout);
-  t.write_csv("bench_acoustic_uncertainty.csv");
+  t.write_csv("results/bench_acoustic_uncertainty.csv");
 
   std::cout << "\nshape: ocean uncertainty induces TL uncertainty of "
                "O(dB); the coupled (T,TL) covariance is non-zero — the "
