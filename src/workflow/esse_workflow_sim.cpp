@@ -475,11 +475,16 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     // been reached, remaining work only runs out (or is spared).
     exec->enter_drain_mode();
     orch.stop();
-    // The rest is the fault layer's live set, cancelled in its order:
-    // a cancelled running member frees a core that may start a queued
-    // one, so the order shows in the scheduler's dispatch counts.
+    // The rest is the fault layer's live set: queued members first, then
+    // running ones, each in ascending id order. A cancelled running
+    // member frees a core, which would otherwise start a queued member
+    // only for it to be cancelled a moment later.
     const bool spare = cfg.cancel_policy == CancelPolicy::kSpareNearFinish;
-    for (const auto& [member, r] : exec->live_members()) {
+    auto live = exec->live_members();
+    std::ranges::sort(live, {}, [](const auto& m) {
+      return std::pair(m.second.state != TaskState::kQueued, m.first);
+    });
+    for (const auto& [member, r] : live) {
       if (spare && r.state == TaskState::kRunning && r.started > 0) {
         // "spare any ensemble calculations close to finishing
         // (according to performance estimates ... and accumulated

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
@@ -176,6 +177,32 @@ TEST(CancelPolicies, SpareNearFinishUsesMoreMembersThanImmediate) {
   // Sparing trades extra completion time for less waste.
   EXPECT_LT(ms.wasted_cpu_seconds, mi.wasted_cpu_seconds);
   EXPECT_GT(ms.makespan_s, mi.makespan_s);
+}
+
+TEST(CancelPolicies, CancellingAtConvergenceStartsNoQueuedMember) {
+  // Three members per core: at convergence a wave is running and more
+  // are queued, among them retries of failed low-id members. Cancelling
+  // the queued members before the running ones means no freed core
+  // starts a member that is cancelled a moment later, so every
+  // dispatched job either finished, failed, or was one of the (at most
+  // one per core) members running at convergence.
+  EsseWorkflowConfig cfg = test_config();
+  cfg.pool_headroom = 3.0;
+  cfg.cancel_policy = CancelPolicy::kCancelImmediately;
+  telemetry::Sink sink("cancel-order");
+  cfg.sink = &sink;
+  mtc::SchedulerParams sparams = mtc::sge_params();
+  sparams.faults.segment.probability = 0.2;
+  const WorkflowMetrics m = run(true, cfg, sparams);
+  ASSERT_TRUE(m.converged);
+  const auto counter = [&](const char* name) {
+    return sink.metrics().counter(name).value();
+  };
+  const double cores = static_cast<double>(test_cluster().nodes.size() * 2);
+  EXPECT_GT(static_cast<double>(m.members_cancelled), cores);
+  EXPECT_LE(counter("sched.jobs_dispatched") - counter("sched.jobs_done") -
+                counter("sched.jobs_failed"),
+            cores);
 }
 
 // ---- deadline (§4 point 1) -------------------------------------------------------------
