@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <string>
+#include <thread>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/svd.hpp"
 
@@ -27,6 +31,52 @@ double CoupledCovariance::coupling_strength() const {
   return std::sqrt(sum / static_cast<double>(slice_points * slice_points));
 }
 
+namespace {
+
+/// One realisation on the section: its sound-speed slice and TL field.
+struct Section {
+  SoundSpeedSlice slice;
+  std::vector<double> tl;
+};
+
+/// Extract every realisation's slice (serially, through one unpacked
+/// state), then trace the TL fields on min(hardware threads, n) pool
+/// workers, each field into its own slot. Every field is computed
+/// serially by one worker, so the result is bitwise the serial loop's
+/// for any worker count. A realisation that is not finite is rejected
+/// by index; a worker's exception reaches the caller.
+std::vector<Section> trace_sections(const ocean::Grid3D& grid,
+                                    const std::vector<la::Vector>& realizations,
+                                    const SliceGeometry& geom,
+                                    const TLParams& params) {
+  const std::size_t n = realizations.size();
+  std::vector<Section> sections(n);
+  {
+    ocean::OceanState state(grid);
+    for (std::size_t i = 0; i < n; ++i) {
+      const la::Vector& x = realizations[i];
+      ESSEX_REQUIRE(std::all_of(x.begin(), x.end(),
+                                [](double v) { return std::isfinite(v); }),
+                    "realization " + std::to_string(i) + " is not finite");
+      state.unpack(x, grid);
+      sections[i].slice = extract_slice(grid, state, geom);
+    }
+  }
+  const std::size_t workers = std::min<std::size_t>(
+      std::max(std::thread::hardware_concurrency(), 1u), n);
+  ThreadPool pool(workers);
+  std::vector<std::future<void>> futs;
+  futs.reserve(n);
+  for (Section& s : sections)
+    futs.push_back(pool.submit([&s, &params] {
+      s.tl = compute_tl(s.slice, params).tl;
+    }));
+  for (auto& f : futs) f.get();
+  return sections;
+}
+
+}  // namespace
+
 TLEnsembleStats tl_ensemble_stats(const ocean::Grid3D& grid,
                                   const std::vector<la::Vector>& realizations,
                                   const SliceGeometry& geom,
@@ -40,26 +90,19 @@ TLEnsembleStats tl_ensemble_stats(const ocean::Grid3D& grid,
   out.std_tl.assign(np, 0.0);
   out.n_members = realizations.size();
 
-  std::vector<la::Vector> fields;
-  fields.reserve(realizations.size());
-  ocean::OceanState state(grid);
-  for (const auto& x : realizations) {
-    state.unpack(x, grid);
-    const SoundSpeedSlice slice = extract_slice(grid, state, geom);
-    TLField tl = compute_tl(slice, params);
-    fields.push_back(std::move(tl.tl));
-  }
-  for (const auto& f : fields)
-    for (std::size_t i = 0; i < np; ++i) out.mean_tl[i] += f[i];
-  const double inv_n = 1.0 / static_cast<double>(fields.size());
+  const std::vector<Section> sections =
+      trace_sections(grid, realizations, geom, params);
+  for (const Section& s : sections)
+    for (std::size_t i = 0; i < np; ++i) out.mean_tl[i] += s.tl[i];
+  const double inv_n = 1.0 / static_cast<double>(sections.size());
   for (auto& v : out.mean_tl) v *= inv_n;
-  for (const auto& f : fields) {
+  for (const Section& s : sections) {
     for (std::size_t i = 0; i < np; ++i) {
-      const double d = f[i] - out.mean_tl[i];
+      const double d = s.tl[i] - out.mean_tl[i];
       out.std_tl[i] += d * d;
     }
   }
-  const double inv_n1 = 1.0 / static_cast<double>(fields.size() - 1);
+  const double inv_n1 = 1.0 / static_cast<double>(sections.size() - 1);
   for (auto& v : out.std_tl) v = std::sqrt(v * inv_n1);
   return out;
 }
@@ -76,15 +119,11 @@ CoupledCovariance coupled_covariance(const ocean::Grid3D& grid,
   // Joint (T, TL) sample per realisation.
   std::vector<la::Vector> joints;
   joints.reserve(realizations.size());
-  ocean::OceanState state(grid);
-  for (const auto& x : realizations) {
-    state.unpack(x, grid);
-    const SoundSpeedSlice slice = extract_slice(grid, state, geom);
-    TLField tl = compute_tl(slice, params);
+  for (const Section& s : trace_sections(grid, realizations, geom, params)) {
     la::Vector joint(2 * np);
     for (std::size_t i = 0; i < np; ++i) {
-      joint[i] = slice.t[i];
-      joint[np + i] = tl.tl[i];
+      joint[i] = s.slice.t[i];
+      joint[np + i] = s.tl[i];
     }
     joints.push_back(std::move(joint));
   }

@@ -22,12 +22,6 @@ double SliceGeometry::depth_step_m() const {
   return max_depth_m / static_cast<double>(n_depth - 1);
 }
 
-double SoundSpeedSlice::at(std::size_t ir, std::size_t iz) const {
-  ESSEX_ASSERT(ir < geometry.n_range && iz < geometry.n_depth,
-               "slice index out of range");
-  return c[ir * geometry.n_depth + iz];
-}
-
 double SoundSpeedSlice::temperature_at(std::size_t ir, std::size_t iz) const {
   ESSEX_ASSERT(ir < geometry.n_range && iz < geometry.n_depth,
                "slice index out of range");

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/error.hpp"
 #include "linalg/matrix.hpp"
 #include "ocean/grid.hpp"
 #include "ocean/state.hpp"
@@ -36,7 +37,12 @@ struct SoundSpeedSlice {
   std::vector<double> c;  ///< m/s, size n_range * n_depth
   std::vector<double> t;  ///< °C (kept for coupled covariances)
 
-  double at(std::size_t ir, std::size_t iz) const;
+  /// Inline: the TL ray march samples it a dozen times per step.
+  double at(std::size_t ir, std::size_t iz) const {
+    ESSEX_ASSERT(ir < geometry.n_range && iz < geometry.n_depth,
+                 "slice index out of range");
+    return c[ir * geometry.n_depth + iz];
+  }
   double temperature_at(std::size_t ir, std::size_t iz) const;
   /// Vertical sound-speed gradient ∂c/∂z (finite difference) at (ir, iz).
   double dcdz(std::size_t ir, std::size_t iz) const;

@@ -34,31 +34,36 @@ Field2D TLField::to_field() const {
 
 namespace {
 
-/// Sample the slice sound speed with bilinear interpolation at
-/// (range_m, depth_m).
-double c_at(const SoundSpeedSlice& s, double range_m, double depth_m) {
-  const SliceGeometry& g = s.geometry;
-  const double fr = std::clamp(range_m / g.range_step_m(), 0.0,
+/// The range half of the bilinear sound-speed interpolation at one march
+/// position, shared by the step's three depth samples.
+struct RangeSample {
+  std::size_t ir0, ir1;
+  double ar;
+};
+
+RangeSample range_sample(const SliceGeometry& g, double dr, double range_m) {
+  const double fr = std::clamp(range_m / dr, 0.0,
                                static_cast<double>(g.n_range - 1));
-  const double fz = std::clamp(depth_m / g.depth_step_m(), 0.0,
-                               static_cast<double>(g.n_depth - 1));
   const auto ir0 = static_cast<std::size_t>(fr);
-  const auto iz0 = static_cast<std::size_t>(fz);
-  const std::size_t ir1 = std::min(ir0 + 1, g.n_range - 1);
-  const std::size_t iz1 = std::min(iz0 + 1, g.n_depth - 1);
-  const double ar = fr - static_cast<double>(ir0);
-  const double az = fz - static_cast<double>(iz0);
-  return s.at(ir0, iz0) * (1 - ar) * (1 - az) +
-         s.at(ir1, iz0) * ar * (1 - az) + s.at(ir0, iz1) * (1 - ar) * az +
-         s.at(ir1, iz1) * ar * az;
+  return {ir0, std::min(ir0 + 1, g.n_range - 1),
+          fr - static_cast<double>(ir0)};
 }
 
-double dcdz_at(const SoundSpeedSlice& s, double range_m, double depth_m) {
-  const double dz = s.geometry.depth_step_m();
-  const double zm = std::max(depth_m - 0.5 * dz, 0.0);
-  const double zp = std::min(depth_m + 0.5 * dz, s.geometry.max_depth_m);
-  if (zp <= zm) return 0.0;
-  return (c_at(s, range_m, zp) - c_at(s, range_m, zm)) / (zp - zm);
+/// Bilinear sound speed at (rs, depth_m). Same expression order as a
+/// single-point interpolation, so sharing `rs` changes no bit. `inline`
+/// because GCC otherwise leaves the step's three calls out of line.
+inline double c_at(const SoundSpeedSlice& s, const RangeSample& rs,
+                   double dz, double depth_m) {
+  const SliceGeometry& g = s.geometry;
+  const double fz = std::clamp(depth_m / dz, 0.0,
+                               static_cast<double>(g.n_depth - 1));
+  const auto iz0 = static_cast<std::size_t>(fz);
+  const std::size_t iz1 = std::min(iz0 + 1, g.n_depth - 1);
+  const double ar = rs.ar;
+  const double az = fz - static_cast<double>(iz0);
+  return s.at(rs.ir0, iz0) * (1 - ar) * (1 - az) +
+         s.at(rs.ir1, iz0) * ar * (1 - az) +
+         s.at(rs.ir0, iz1) * (1 - ar) * az + s.at(rs.ir1, iz1) * ar * az;
 }
 
 }  // namespace
@@ -70,12 +75,18 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
                     params.source_depth_m <= g.max_depth_m,
                 "source depth outside the slice");
   ESSEX_REQUIRE(params.frequency_khz > 0, "frequency must be positive");
+  // A NaN or zero sound speed would march a ray to a NaN range.
+  ESSEX_REQUIRE(std::all_of(slice.c.begin(), slice.c.end(),
+                            [](double c) { return std::isfinite(c) && c > 0; }),
+                "slice sound speeds must be finite and positive");
 
   const double dr = g.range_step_m();
   const double dz = g.depth_step_m();
+  const double half_dz = 0.5 * dz;
   const double max_range = g.length_km() * 1000.0;
   const double alpha_db_per_m =
       thorp_attenuation_db_per_km(params.frequency_khz) / 1000.0;
+  const auto n_depth = static_cast<long>(g.n_depth);
 
   // Intensity accumulation grid (linear power units relative to 1 m).
   std::vector<double> intensity(g.n_range * g.n_depth, 0.0);
@@ -86,21 +97,38 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
 
   const double march = 0.5 * std::min(dr, dz);  // ray marching step (m)
 
+  // Gaussian vertical beam: width and half-extent in cells.
+  const double w2 = params.beam_width_m * params.beam_width_m;
+  const double two_w2 = 2.0 * w2;
+  const long spread =
+      std::max(1L, std::lround(2.0 * params.beam_width_m / dz));
+
   for (std::size_t k = 0; k < params.n_rays; ++k) {
     double theta = -a0 + 2.0 * a0 * static_cast<double>(k) /
                              static_cast<double>(params.n_rays - 1);
+    // Carried from each position update into the next Snell update; a
+    // reflection negates theta, and cos(-x) == cos(x) bit for bit.
+    double cos_theta = std::cos(theta);
     double r = 0.0;
     double z = params.source_depth_m;
     double loss_db = 0.0;  // accumulated boundary + absorption loss
 
     while (r < max_range && loss_db < params.max_tl_db) {
-      // Snell ray marching: dθ/ds = -(cosθ/c)·∂c/∂z (downward z).
-      const double c = c_at(slice, r, z);
-      const double grad = dcdz_at(slice, r, z);
-      theta += -(std::cos(theta) / c) * grad * march;
+      // Snell ray marching: dθ/ds = -(cosθ/c)·∂c/∂z (downward z), with
+      // ∂c/∂z a centred difference over one cell, clipped to the slice.
+      const RangeSample rs = range_sample(g, dr, r);
+      const double c = c_at(slice, rs, dz, z);
+      const double zm = std::max(z - half_dz, 0.0);
+      const double zp = std::min(z + half_dz, g.max_depth_m);
+      const double grad =
+          zp <= zm ? 0.0
+                   : (c_at(slice, rs, dz, zp) - c_at(slice, rs, dz, zm)) /
+                         (zp - zm);
+      theta += -(cos_theta / c) * grad * march;
       // Keep the ray marching forward.
       theta = std::clamp(theta, -1.2, 1.2);
-      r += std::cos(theta) * march;
+      cos_theta = std::cos(theta);
+      r += cos_theta * march;
       z += std::sin(theta) * march;
 
       // Boundary reflections.
@@ -116,22 +144,20 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
       loss_db += alpha_db_per_m * march;
 
       // Deposit intensity: cylindrical spreading 1/r with a Gaussian
-      // vertical beam profile.
+      // vertical beam profile, over the beam's cells inside the slice.
       if (r < march) continue;
       const auto ir = static_cast<std::size_t>(
           std::clamp(r / dr, 0.0, static_cast<double>(g.n_range - 1)));
       const double amp = std::pow(10.0, -loss_db / 10.0) / r * ray_weight;
-      const double w2 = params.beam_width_m * params.beam_width_m;
       const long izc = std::lround(z / dz);
-      const long spread = std::max(1L, std::lround(2.0 * params.beam_width_m / dz));
-      for (long dzi = -spread; dzi <= spread; ++dzi) {
-        const long izl = izc + dzi;
-        if (izl < 0 || izl >= static_cast<long>(g.n_depth)) continue;
+      const long iz_lo = std::max(izc - spread, 0L);
+      const long iz_hi = std::min(izc + spread, n_depth - 1);
+      double* column = intensity.data() + ir * g.n_depth;
+      for (long izl = iz_lo; izl <= iz_hi; ++izl) {
         const double zc = static_cast<double>(izl) * dz;
         const double dist = zc - z;
-        const double wgt = std::exp(-dist * dist / (2.0 * w2));
-        intensity[static_cast<std::size_t>(ir) * g.n_depth +
-                  static_cast<std::size_t>(izl)] += amp * wgt;
+        const double wgt = std::exp(-dist * dist / two_w2);
+        column[izl] += amp * wgt;
       }
     }
   }

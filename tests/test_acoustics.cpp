@@ -1,16 +1,27 @@
 // Unit + property tests: acoustics substrate (sound speed, slices, TL
-// solver, ensemble statistics, coupled covariance, climate task grid).
+// solver and its bitwise oracle, ensemble statistics and their fan-out,
+// coupled covariance, climate task grid).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numbers>
+#include <sstream>
+#include <string>
 
 #include "acoustics/ensemble.hpp"
 #include "acoustics/slice.hpp"
 #include "acoustics/sound_speed.hpp"
 #include "acoustics/tl_solver.hpp"
 #include "common/error.hpp"
+#include "common/proptest.hpp"
 #include "common/rng.hpp"
+#include "linalg/stats.hpp"
+#include "linalg/svd.hpp"
 #include "ocean/monterey.hpp"
+#include "testkit/reference_tl.hpp"
 
 namespace essex::acoustics {
 namespace {
@@ -215,6 +226,145 @@ TEST(TlSolver, FieldConversionTransposesToRangeDepth) {
   EXPECT_DOUBLE_EQ(f.at(5, 3), tl.at(5, 3));
 }
 
+// ---- TL solver bitwise oracle -------------------------------------------------
+//
+// compute_tl must reproduce the frozen reference solver
+// (testkit::reference_compute_tl) bit for bit over generated slices:
+// small meshes, strong and noisy sound-speed gradients so rays refract
+// hard and bounce off both boundaries, sources at the surface and the
+// bottom, and beams one to three cells wide.
+
+template <typename A, typename B>
+bool bitwise_equal(const A& a, const B& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+struct TlCase {
+  SoundSpeedSlice slice;
+  TLParams params;
+};
+
+std::string describe_tl_case(const TlCase& c) {
+  const SliceGeometry& g = c.slice.geometry;
+  const TLParams& p = c.params;
+  std::ostringstream os;
+  os << g.n_range << "x" << g.n_depth << " length=" << g.length_km()
+     << "km depth=" << g.max_depth_m << "m source=" << p.source_depth_m
+     << "m rays=" << p.n_rays << " angle=" << p.max_angle_deg
+     << " beam=" << p.beam_width_m << "m f=" << p.frequency_khz
+     << "kHz losses=" << p.surface_loss_db << "/" << p.bottom_loss_db
+     << " max_tl=" << p.max_tl_db;
+  return os.str();
+}
+
+testkit::Gen<TlCase> gen_tl_case() {
+  testkit::Gen<TlCase> gen;
+  gen.create = [](Rng& rng) {
+    TlCase c;
+    SliceGeometry& g = c.slice.geometry;
+    g.x1_km = rng.uniform(0.3, 4.0);
+    g.n_range = 2 + rng.uniform_index(11);
+    g.n_depth = 2 + rng.uniform_index(9);
+    g.max_depth_m = rng.uniform(20.0, 200.0);
+    // Linear + quadratic profile in depth, a range trend and cell noise:
+    // gradients up to ~1 s^-1, far stronger than the ocean's.
+    const double a = rng.uniform(-80.0, 80.0);
+    const double b = rng.uniform(-60.0, 60.0);
+    const double trend = rng.uniform(-20.0, 20.0);
+    const double noise = rng.uniform(0.0, 6.0);
+    c.slice.c.resize(g.n_range * g.n_depth);
+    c.slice.t.assign(g.n_range * g.n_depth, 10.0);
+    for (std::size_t ir = 0; ir < g.n_range; ++ir)
+      for (std::size_t iz = 0; iz < g.n_depth; ++iz) {
+        const double zf = static_cast<double>(iz) /
+                          static_cast<double>(g.n_depth - 1);
+        const double rf = static_cast<double>(ir) /
+                          static_cast<double>(g.n_range - 1);
+        c.slice.c[ir * g.n_depth + iz] =
+            1500.0 + a * zf + b * zf * zf + trend * rf + noise * rng.normal();
+      }
+    TLParams& p = c.params;
+    const double pick = rng.uniform();
+    p.source_depth_m = pick < 0.25   ? 0.0
+                       : pick < 0.5 ? g.max_depth_m
+                                    : rng.uniform(0.0, g.max_depth_m);
+    p.n_rays = 3 + rng.uniform_index(14);
+    // Fans wider than ±68.75° start rays beyond the march's ±1.2 rad
+    // clamp.
+    p.max_angle_deg = rng.uniform(2.0, 80.0);
+    p.frequency_khz = rng.uniform(0.1, 10.0);
+    p.bottom_loss_db = rng.uniform(0.0, 12.0);
+    p.surface_loss_db = rng.uniform(0.0, 3.0);
+    // 2·width/dz spans 0.3–3.4: beams of one to three cells, the
+    // narrowest widened to one cell by the solver's floor.
+    p.beam_width_m = g.depth_step_m() * rng.uniform(0.15, 1.7);
+    p.max_tl_db = rng.uniform(40.0, 140.0);
+    return c;
+  };
+  gen.describe = describe_tl_case;
+  return gen;
+}
+
+TEST(TlSolverOracle, ComputeTlIsBitwiseEqualToTheFrozenReference) {
+  testkit::PropConfig cfg;
+  cfg.name = "compute_tl == reference_compute_tl";
+  cfg.cases = 300;
+  const auto r = testkit::check(cfg, gen_tl_case(), [](const TlCase& c) {
+    return bitwise_equal(compute_tl(c.slice, c.params).tl,
+                         testkit::reference_compute_tl(c.slice, c.params).tl);
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+  EXPECT_EQ(r.cases_run, cfg.cases);
+}
+
+TEST(TlSolverOracle, GeneratedCasesBounceOffBothBoundaries) {
+  // The oracle is only as strong as its cases: they must reflect rays off
+  // the surface and the bottom (seen as TL that moves with that
+  // boundary's loss), start rays steeper than the march's clamp, place
+  // sources on both boundaries, and deposit
+  // beams one, two and three cells wide, including one below a cell
+  // that the solver widens to one.
+  const auto gen = gen_tl_case();
+  std::size_t surface = 0, bottom = 0, at_surface = 0, at_bottom = 0;
+  std::size_t clamped = 0;
+  bool spread[4] = {false, false, false, false};
+  for (std::size_t i = 0; i < 300; ++i) {
+    Rng rng(testkit::case_seed(testkit::PropConfig{}.seed, i));
+    TlCase c = gen.create(rng);
+    const double dz = c.slice.geometry.depth_step_m();
+    const long s = std::lround(2.0 * c.params.beam_width_m / dz);
+    if (s >= 0 && s <= 3) spread[s] = true;
+    clamped += c.params.max_angle_deg * std::numbers::pi / 180.0 > 1.2;
+    at_surface += c.params.source_depth_m == 0.0;
+    at_bottom += c.params.source_depth_m == c.slice.geometry.max_depth_m;
+    if (i % 3 != 0) continue;  // the loss probes below cost two solves
+    const std::vector<double> base = compute_tl(c.slice, c.params).tl;
+    TlCase louder = c;
+    louder.params.surface_loss_db += 5.0;
+    surface += !bitwise_equal(compute_tl(louder.slice, louder.params).tl, base);
+    louder = c;
+    louder.params.bottom_loss_db += 5.0;
+    bottom += !bitwise_equal(compute_tl(louder.slice, louder.params).tl, base);
+  }
+  EXPECT_GE(surface, 50u);
+  EXPECT_GE(bottom, 50u);
+  EXPECT_GE(clamped, 30u);
+  EXPECT_GE(at_surface, 30u);
+  EXPECT_GE(at_bottom, 30u);
+  EXPECT_TRUE(spread[0] && spread[1] && spread[2] && spread[3]);
+}
+
+TEST(TlSolver, RejectsNonFiniteSoundSpeeds) {
+  auto sc = scenario();
+  SoundSpeedSlice s = extract_slice(sc.grid, sc.initial,
+                                    cross_shore_slice(sc.grid));
+  s.c[s.c.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(compute_tl(s, {}), PreconditionError);
+  s.c[s.c.size() / 2] = 0.0;
+  EXPECT_THROW(compute_tl(s, {}), PreconditionError);
+}
+
 // ---- ensembles ----------------------------------------------------------------------
 
 std::vector<la::Vector> perturbed_realizations(const ocean::Scenario& sc,
@@ -265,6 +415,129 @@ TEST(TlEnsemble, RequiresTwoMembers) {
   EXPECT_THROW(
       tl_ensemble_stats(sc.grid, one, cross_shore_slice(sc.grid), {}),
       PreconditionError);
+}
+
+TEST(TlEnsemble, FanOutIsBitwiseTheSerialLoop) {
+  // Both ensemble calls trace their fields on several workers; the
+  // result must be bit for bit what a serial loop over the frozen
+  // reference solver gives, reduced in realisation order.
+  auto sc = scenario();
+  const auto reals = perturbed_realizations(sc, 7);
+  SliceGeometry geom = cross_shore_slice(sc.grid);
+  geom.n_range = 24;
+  geom.n_depth = 16;
+  TLParams p;
+  p.n_rays = 41;
+  const std::size_t np = geom.n_range * geom.n_depth;
+
+  std::vector<SoundSpeedSlice> slices;
+  std::vector<std::vector<double>> fields;
+  ocean::OceanState state(sc.grid);
+  for (const auto& x : reals) {
+    state.unpack(x, sc.grid);
+    slices.push_back(extract_slice(sc.grid, state, geom));
+    fields.push_back(testkit::reference_compute_tl(slices.back(), p).tl);
+  }
+
+  // tl_ensemble_stats: mean, then unbiased std, in realisation order.
+  std::vector<double> mean(np, 0.0), sd(np, 0.0);
+  for (const auto& f : fields)
+    for (std::size_t i = 0; i < np; ++i) mean[i] += f[i];
+  const double inv_n = 1.0 / static_cast<double>(fields.size());
+  for (auto& v : mean) v *= inv_n;
+  for (const auto& f : fields)
+    for (std::size_t i = 0; i < np; ++i) {
+      const double d = f[i] - mean[i];
+      sd[i] += d * d;
+    }
+  const double inv_n1 = 1.0 / static_cast<double>(fields.size() - 1);
+  for (auto& v : sd) v = std::sqrt(v * inv_n1);
+  const TLEnsembleStats stats = tl_ensemble_stats(sc.grid, reals, geom, p);
+  EXPECT_TRUE(bitwise_equal(stats.mean_tl, mean));
+  EXPECT_TRUE(bitwise_equal(stats.std_tl, sd));
+
+  // coupled_covariance: joint (T, TL) columns, non-dimensionalised by
+  // each block's pooled anomaly RMS, then the thin SVD.
+  std::vector<la::Vector> joints;
+  for (std::size_t m = 0; m < reals.size(); ++m) {
+    la::Vector joint(2 * np);
+    for (std::size_t i = 0; i < np; ++i) {
+      joint[i] = slices[m].t[i];
+      joint[np + i] = fields[m][i];
+    }
+    joints.push_back(std::move(joint));
+  }
+  la::Matrix a = la::Matrix::from_columns(joints);
+  a = la::anomalies_about(a, la::column_mean(a));
+  auto block_rms = [&](std::size_t lo, std::size_t hi) {
+    double s = 0.0;
+    std::size_t n = 0;
+    for (std::size_t i = lo; i < hi; ++i)
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        s += a(i, j) * a(i, j);
+        ++n;
+      }
+    return std::sqrt(s / static_cast<double>(n));
+  };
+  const double t_scale = std::max(block_rms(0, np), 1e-12);
+  const double tl_scale = std::max(block_rms(np, 2 * np), 1e-12);
+  for (std::size_t i = 0; i < np; ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      a(i, j) /= t_scale;
+      a(np + i, j) /= tl_scale;
+    }
+  a *= 1.0 / std::sqrt(static_cast<double>(a.cols() - 1));
+  const la::ThinSvd svd = la::svd_thin(a, la::SvdMethod::kGram);
+  const esse::ErrorSubspace modes =
+      esse::ErrorSubspace::from_svd(svd.u, svd.s, 0.999, 4);
+
+  const CoupledCovariance cov = coupled_covariance(sc.grid, reals, geom, p, 4);
+  EXPECT_EQ(cov.t_scale, t_scale);
+  EXPECT_EQ(cov.tl_scale, tl_scale);
+  EXPECT_TRUE(bitwise_equal(cov.modes.modes().data(), modes.modes().data()));
+  EXPECT_TRUE(bitwise_equal(cov.modes.sigmas(), modes.sigmas()));
+}
+
+TEST(TlEnsemble, NonFiniteRealizationIsRejected) {
+  // One all-NaN realisation among three: both calls must refuse it by
+  // index instead of returning finite statistics or failing deep inside
+  // the SVD.
+  auto sc = ocean::make_monterey_scenario(24, 20, 4);
+  auto reals = perturbed_realizations(sc, 3);
+  std::fill(reals[1].begin(), reals[1].end(),
+            std::numeric_limits<double>::quiet_NaN());
+  const SliceGeometry geom = cross_shore_slice(sc.grid);
+  const auto expect_rejected = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a NaN realisation was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("realization 1 is not finite"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] { tl_ensemble_stats(sc.grid, reals, geom, {}); });
+  expect_rejected([&] { coupled_covariance(sc.grid, reals, geom, {}, 4); });
+  reals[1] = reals[0];
+  reals[1][reals[1].size() / 2] = std::numeric_limits<double>::infinity();
+  expect_rejected([&] { tl_ensemble_stats(sc.grid, reals, geom, {}); });
+}
+
+TEST(TlEnsemble, InvalidParamsInsideAWorkerSurfaceAsPreconditionError) {
+  // compute_tl validates its parameters on the worker that traces the
+  // field; the caller must still see the PreconditionError.
+  auto sc = scenario();
+  const auto reals = perturbed_realizations(sc, 4);
+  const SliceGeometry geom = cross_shore_slice(sc.grid);
+  TLParams p;
+  p.n_rays = 2;
+  EXPECT_THROW(tl_ensemble_stats(sc.grid, reals, geom, p), PreconditionError);
+  EXPECT_THROW(coupled_covariance(sc.grid, reals, geom, p, 4),
+               PreconditionError);
+  p = {};
+  p.source_depth_m = -1.0;
+  EXPECT_THROW(tl_ensemble_stats(sc.grid, reals, geom, p), PreconditionError);
 }
 
 TEST(CoupledCovariance, CapturesPhysicalAcousticalCoupling) {
