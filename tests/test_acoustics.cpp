@@ -268,7 +268,7 @@ testkit::Gen<TlCase> gen_tl_case() {
     g.n_depth = 2 + rng.uniform_index(9);
     g.max_depth_m = rng.uniform(20.0, 200.0);
     // Linear + quadratic profile in depth, a range trend and cell noise:
-    // gradients up to ~1 s^-1, far stronger than the ocean's.
+    // gradients far stronger than the ocean's.
     const double a = rng.uniform(-80.0, 80.0);
     const double b = rng.uniform(-60.0, 60.0);
     const double trend = rng.uniform(-20.0, 20.0);
@@ -322,9 +322,8 @@ TEST(TlSolverOracle, GeneratedCasesBounceOffBothBoundaries) {
   // The oracle is only as strong as its cases: they must reflect rays off
   // the surface and the bottom (seen as TL that moves with that
   // boundary's loss), start rays steeper than the march's clamp, place
-  // sources on both boundaries, and deposit
-  // beams one, two and three cells wide, including one below a cell
-  // that the solver widens to one.
+  // sources on both boundaries, and deposit beams one, two and three
+  // cells wide, including beams under a cell that the solver widens.
   const auto gen = gen_tl_case();
   std::size_t surface = 0, bottom = 0, at_surface = 0, at_bottom = 0;
   std::size_t clamped = 0;
