@@ -75,6 +75,20 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
                     params.source_depth_m <= g.max_depth_m,
                 "source depth outside the slice");
   ESSEX_REQUIRE(params.frequency_khz > 0, "frequency must be positive");
+  // Each check is written so that NaN fails it too. A zero beam width
+  // would deposit no intensity anywhere and leave max_tl_db in every cell.
+  ESSEX_REQUIRE(std::isfinite(params.beam_width_m) && params.beam_width_m > 0,
+                "TLParams::beam_width_m must be finite and positive");
+  ESSEX_REQUIRE(params.max_angle_deg > 0 && params.max_angle_deg < 90,
+                "TLParams::max_angle_deg must lie in (0, 90)");
+  ESSEX_REQUIRE(std::isfinite(params.max_tl_db) && params.max_tl_db > 0,
+                "TLParams::max_tl_db must be finite and positive");
+  ESSEX_REQUIRE(std::isfinite(params.bottom_loss_db) &&
+                    params.bottom_loss_db >= 0,
+                "TLParams::bottom_loss_db must be finite and non-negative");
+  ESSEX_REQUIRE(std::isfinite(params.surface_loss_db) &&
+                    params.surface_loss_db >= 0,
+                "TLParams::surface_loss_db must be finite and non-negative");
   // A NaN or zero sound speed would march a ray to a NaN range.
   ESSEX_REQUIRE(std::all_of(slice.c.begin(), slice.c.end(),
                             [](double c) { return std::isfinite(c) && c > 0; }),

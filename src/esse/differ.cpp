@@ -99,18 +99,19 @@ ErrorSubspace subspace_from_view(const AnomalyView& view,
     s[j] = std::sqrt(std::max(eig.eigenvalues[j], 0.0));
 
   // ... then U = A·V·Σ⁻¹ over the retained modes only: truncating first
-  // turns the O(m·n²) recovery into O(m·n·r).
+  // turns the O(m·n²) recovery into O(m·n·r), and the kernel applies
+  // Σ⁻¹ to each finished row block, so U is written once.
   const std::size_t r =
       ErrorSubspace::truncation_rank(s, variance_fraction, max_rank);
   std::vector<la::ColSpan> cols;
   cols.reserve(n);
   for (const AnomalyColumn& c : view.columns) cols.push_back(c.anomaly);
   const double scale = 1.0 / std::sqrt(static_cast<double>(n - 1));
-  la::Matrix u = la::columns_matmul(cols, eig.eigenvectors, r, scale, pool);
-  for (std::size_t j = 0; j < r; ++j) {
-    const double inv = (s[j] > 1e-300) ? 1.0 / s[j] : 0.0;
-    for (std::size_t i = 0; i < m; ++i) u(i, j) *= inv;
-  }
+  la::Vector inv(r);
+  for (std::size_t j = 0; j < r; ++j)
+    inv[j] = (s[j] > 1e-300) ? 1.0 / s[j] : 0.0;
+  la::Matrix u =
+      la::columns_matmul(cols, eig.eigenvectors, r, scale, pool, inv);
   la::Vector sig(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(r));
   ErrorSubspace out(std::move(u), std::move(sig));
   if (sink) {

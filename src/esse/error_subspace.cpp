@@ -8,8 +8,8 @@
 namespace essex::esse {
 
 ErrorSubspace::ErrorSubspace(la::Matrix modes, la::Vector sigmas)
-    : modes_(std::move(modes)), sigmas_(std::move(sigmas)) {
-  ESSEX_REQUIRE(modes_.cols() == sigmas_.size(),
+    : sigmas_(std::move(sigmas)) {
+  ESSEX_REQUIRE(modes.cols() == sigmas_.size(),
                 "mode count must match sigma count");
   for (std::size_t i = 0; i < sigmas_.size(); ++i) {
     ESSEX_REQUIRE(sigmas_[i] >= 0.0, "sigmas must be non-negative");
@@ -22,7 +22,13 @@ ErrorSubspace::ErrorSubspace(la::Matrix modes, la::Vector sigmas)
   // (SVD, eigensolve, analysis update, file load) funnels through one
   // canonical convention here. This is what keeps serialized subspaces —
   // and the convergence coefficient's inputs — bit-stable across runs.
-  la::canonicalize_column_signs(modes_);
+  la::canonicalize_column_signs(modes);
+  modes_ = std::make_shared<const la::Matrix>(std::move(modes));
+}
+
+const la::Matrix& ErrorSubspace::modes() const {
+  static const la::Matrix kNoModes;
+  return modes_ ? *modes_ : kNoModes;
 }
 
 std::size_t ErrorSubspace::truncation_rank(const la::Vector& s,
@@ -71,26 +77,27 @@ double ErrorSubspace::variance_fraction(std::size_t k) const {
 ErrorSubspace ErrorSubspace::truncated(std::size_t k) const {
   if (k >= rank()) return *this;
   la::Vector sig(sigmas_.begin(), sigmas_.begin() + static_cast<std::ptrdiff_t>(k));
-  return ErrorSubspace(modes_.first_cols(k), std::move(sig));
+  return ErrorSubspace(modes().first_cols(k), std::move(sig));
 }
 
 la::Vector ErrorSubspace::project(const la::Vector& x) const {
   ESSEX_REQUIRE(x.size() == dim(), "project: dimension mismatch");
-  return la::matvec_t(modes_, x);
+  return la::matvec_t(modes(), x);
 }
 
 la::Vector ErrorSubspace::expand(const la::Vector& coeffs) const {
   ESSEX_REQUIRE(coeffs.size() == rank(), "expand: rank mismatch");
-  return la::matvec(modes_, coeffs);
+  return la::matvec(modes(), coeffs);
 }
 
 la::Vector ErrorSubspace::marginal_stddev() const {
+  const la::Matrix& e = modes();
   la::Vector sd(dim(), 0.0);
   for (std::size_t i = 0; i < dim(); ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < rank(); ++j) {
-      const double e = modes_(i, j) * sigmas_[j];
-      s += e * e;
+      const double x = e(i, j) * sigmas_[j];
+      s += x * x;
     }
     sd[i] = std::sqrt(s);
   }

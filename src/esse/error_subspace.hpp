@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
@@ -17,6 +18,11 @@ namespace essex::esse {
 
 /// Rank-k error subspace: orthonormal modes with per-mode standard
 /// deviations (singular values of the normalised anomaly matrix).
+///
+/// Immutable once built: the m×k modes are held behind a shared pointer
+/// to const, so copying a subspace (a convergence test keeping the
+/// previous milestone's, a forecast result keeping the converged one)
+/// costs O(1) and every copy reads the same bytes.
 class ErrorSubspace {
  public:
   ErrorSubspace() = default;
@@ -43,11 +49,11 @@ class ErrorSubspace {
                                      double variance_fraction,
                                      std::size_t max_rank);
 
-  std::size_t dim() const { return modes_.rows(); }
+  std::size_t dim() const { return modes_ ? modes_->rows() : 0; }
   std::size_t rank() const { return sigmas_.size(); }
   bool empty() const { return sigmas_.empty(); }
 
-  const la::Matrix& modes() const { return modes_; }
+  const la::Matrix& modes() const;
   const la::Vector& sigmas() const { return sigmas_; }
 
   /// Total variance tr(P) = Σ σ².
@@ -73,7 +79,7 @@ class ErrorSubspace {
   la::Vector sample(Rng& rng) const;
 
  private:
-  la::Matrix modes_;  // m × k, orthonormal columns
+  std::shared_ptr<const la::Matrix> modes_;  // m × k, orthonormal columns
   la::Vector sigmas_;  // k, descending
 };
 

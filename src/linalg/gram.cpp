@@ -195,25 +195,28 @@ Matrix gram_from_columns(std::span<const ColSpan> cols, double scale,
 }
 
 Matrix columns_matmul(std::span<const ColSpan> cols, const Matrix& v,
-                      std::size_t r, double scale, ThreadPool* pool) {
+                      std::size_t r, double scale, ThreadPool* pool,
+                      std::span<const double> col_scale) {
   const std::size_t n = cols.size();
   ESSEX_REQUIRE(v.rows() == n, "columns_matmul: V row count mismatch");
   ESSEX_REQUIRE(r <= v.cols(), "columns_matmul: r exceeds V columns");
+  ESSEX_REQUIRE(col_scale.empty() || col_scale.size() == r,
+                "columns_matmul: col_scale must hold r entries");
   const std::size_t m = n ? cols.front().size() : 0;
+  std::vector<const double*> bases;
+  bases.reserve(n);
   for (const ColSpan& c : cols) {
     ESSEX_REQUIRE(c.size() == m, "columns_matmul column length mismatch");
+    bases.push_back(c.data());
   }
   Matrix out(m, r);
   if (m == 0 || r == 0) return out;
 
+  const double* post = col_scale.empty() ? nullptr : col_scale.data();
   auto run_rows = [&](std::size_t lo, std::size_t hi) {
-    double* o = out.data().data();
-    const double* vd = v.data().data();
-    const std::size_t vcols = v.cols();
-    const auto& kern = simd::kernels();
-    for (std::size_t c = 0; c < n; ++c)
-      kern.col_axpy_scaled(cols[c].data() + lo, hi - lo, scale,
-                           vd + c * vcols, r, o + lo * r);
+    simd::kernels().row_block_matmul(bases.data(), n, lo, hi, scale,
+                                     v.data().data(), v.cols(), r, post,
+                                     out.data().data());
   };
 
   const std::size_t threads = pool ? pool->thread_count() : 1;

@@ -88,11 +88,15 @@ Matrix gram_from_columns(std::span<const ColSpan> cols, double scale = 1.0,
                          ThreadPool* pool = nullptr);
 
 /// U = scale · A·V over column storage, first `r` columns of V only:
-/// out(i,j) = scale · Σ_c cols[c][i] · v(c,j) for j < r ≤ v.cols().
-/// v must have cols.size() rows. With `pool` the row dimension is
-/// partitioned across the workers.
+/// out(i,j) = Σ_c (cols[c][i] · scale) · v(c,j) for j < r ≤ v.cols(),
+/// then multiplied by col_scale[j] when col_scale is given (r entries;
+/// the Σ⁻¹ of a method-of-snapshots SVD). v must have cols.size() rows.
+/// One pass over the rows reads every column once and writes U once
+/// (simd.hpp row_block_matmul); with `pool` the rows are partitioned
+/// across the workers.
 Matrix columns_matmul(std::span<const ColSpan> cols, const Matrix& v,
                       std::size_t r, double scale = 1.0,
-                      ThreadPool* pool = nullptr);
+                      ThreadPool* pool = nullptr,
+                      std::span<const double> col_scale = {});
 
 }  // namespace essex::la

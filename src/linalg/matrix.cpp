@@ -126,21 +126,36 @@ constexpr std::size_t kBlock = 64;
 }
 
 std::vector<int> canonicalize_column_signs(Matrix& m) {
-  std::vector<int> signs(m.cols(), 1);
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    double best = 0.0;
-    std::size_t best_i = 0;
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-      const double mag = std::fabs(m(i, j));
-      if (mag > best) {  // strict: ties keep the first (lowest) index
-        best = mag;
-        best_i = i;
+  const std::size_t rows = m.rows(), cols = m.cols();
+  std::vector<int> signs(cols, 1);
+  // One row-major pass finds every column's largest |entry|; the strict
+  // comparison keeps the first (lowest) index on ties, as a per-column
+  // scan would.
+  std::vector<double> best(cols, 0.0);
+  std::vector<std::size_t> best_i(cols, 0);
+  double* d = m.data().data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* row = d + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double mag = std::fabs(row[j]);
+      if (mag > best[j]) {
+        best[j] = mag;
+        best_i[j] = i;
       }
     }
-    if (best > 0.0 && m(best_i, j) < 0.0) {
+  }
+  bool flip = false;
+  for (std::size_t j = 0; j < cols; ++j) {
+    if (best[j] > 0.0 && d[best_i[j] * cols + j] < 0.0) {
       signs[j] = -1;
-      for (std::size_t i = 0; i < m.rows(); ++i) m(i, j) = -m(i, j);
+      flip = true;
     }
+  }
+  if (!flip) return signs;
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* row = d + i * cols;
+    for (std::size_t j = 0; j < cols; ++j)
+      if (signs[j] < 0) row[j] = -row[j];
   }
   return signs;
 }

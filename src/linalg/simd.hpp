@@ -87,6 +87,11 @@ class ScopedLevel {
 /// on this width.
 inline constexpr std::size_t kDotBlockCols = 8;
 
+/// Output columns row_block_matmul keeps in registers per row block (8
+/// accumulators, one per column, on every vector tier); wider outputs
+/// take several groups over the same cache-resident block of rows.
+inline constexpr std::size_t kRowBlockCols = 8;
+
 /// One dispatch tier's kernel set. All pointers are non-null; all
 /// lengths are in doubles; src/dst ranges must not overlap unless a
 /// kernel documents in-place semantics.
@@ -138,12 +143,19 @@ struct KernelTable {
   void (*ab_row)(const double* arow, const double* b, double* crow,
                  std::size_t k, std::size_t n);
 
-  /// out (m×r, row-major) += (col[i]·scale) · vrow[j]: the
-  /// columns_matmul body for one stored column. The scaled coefficient
-  /// is rounded once per i, then multiply+add per element, matching the
-  /// historical loop bitwise.
-  void (*col_axpy_scaled)(const double* col, std::size_t m, double scale,
-                          const double* vrow, std::size_t r, double* out);
+  /// out (row-major, r wide) = (Σ_c (cols[c][i]·scale)·v[c·ldv + j]) ·
+  /// post[j] for lo ≤ i < hi, j < r: the columns_matmul leaf (U = A·V·Σ⁻¹
+  /// over column storage). Rows go through in vector-width blocks with
+  /// up to kRowBlockCols outputs held in registers, so each block reads
+  /// every column once and writes U once. Per element the scaled
+  /// coefficient is rounded once, each term is a multiply then an add
+  /// into a sum that starts at 0.0, c ascending, and post[j] (skipped
+  /// when post is null) multiplies the finished sum once — bitwise
+  /// identical on every tier and to testkit::reference_columns_matmul.
+  void (*row_block_matmul)(const double* const* cols, std::size_t n,
+                           std::size_t lo, std::size_t hi, double scale,
+                           const double* v, std::size_t ldv, std::size_t r,
+                           const double* post, double* out);
 };
 
 /// Kernel table of the active tier (one relaxed atomic load).

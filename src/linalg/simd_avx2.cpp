@@ -133,7 +133,8 @@ void avx2_rotate(double c, double s, double* x, double* y, std::size_t n) {
 
 // 8-row panels, 16-column j-tiles: the four ymm C accumulators for a
 // tile stay in registers across the whole panel, so each C element is
-// loaded/stored once per panel instead of once per row. Row order per
+// loaded/stored once per panel instead of once per row; the last < 16
+// columns take narrower vectors the same way. Row order per
 // element stays ascending, contributions stay vmul+vadd with the
 // a[r,i]==0 skip — bitwise identical to scalar_atb_update.
 void avx2_atb_update(const double* a, const double* b, double* c,
@@ -165,6 +166,26 @@ void avx2_atb_update(const double* a, const double* b, double* c,
         _mm256_storeu_pd(crow + j + 4, c1);
         _mm256_storeu_pd(crow + j + 8, c2);
         _mm256_storeu_pd(crow + j + 12, c3);
+      }
+      // Fewer than 16 columns left (all of them for the thin AᵀB of two
+      // subspaces): 4-wide, then 2-wide, then one column at a time.
+      for (; j + 4 <= n; j += 4) {
+        __m256d c0 = _mm256_loadu_pd(crow + j);
+        for (std::size_t r = 0; r < panel; ++r) {
+          if (ai[r] == 0.0) continue;
+          const __m256d bv = _mm256_loadu_pd(b + (lo + r) * n + j);
+          c0 = _mm256_add_pd(c0, _mm256_mul_pd(_mm256_set1_pd(ai[r]), bv));
+        }
+        _mm256_storeu_pd(crow + j, c0);
+      }
+      for (; j + 2 <= n; j += 2) {
+        __m128d c0 = _mm_loadu_pd(crow + j);
+        for (std::size_t r = 0; r < panel; ++r) {
+          if (ai[r] == 0.0) continue;
+          const __m128d bv = _mm_loadu_pd(b + (lo + r) * n + j);
+          c0 = _mm_add_pd(c0, _mm_mul_pd(_mm_set1_pd(ai[r]), bv));
+        }
+        _mm_storeu_pd(crow + j, c0);
       }
       for (; j < n; ++j) {
         double acc = crow[j];
@@ -215,19 +236,69 @@ void avx2_ab_row(const double* arow, const double* b, double* crow,
   }
 }
 
-void avx2_col_axpy_scaled(const double* col, std::size_t m, double scale,
-                          const double* vrow, std::size_t r, double* out) {
-  const std::size_t rv = r - r % 4;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double a = col[i] * scale;
-    const __m256d av = _mm256_set1_pd(a);
-    double* orow = out + i * r;
-    for (std::size_t j = 0; j < rv; j += 4) {
-      const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(vrow + j));
-      _mm256_storeu_pd(orow + j, _mm256_add_pd(_mm256_loadu_pd(orow + j), prod));
-    }
-    for (std::size_t j = rv; j < r; ++j) orow[j] += a * vrow[j];
+// Four rows (one ymm per output column) against a group of W ≤
+// kRowBlockCols output columns: W accumulators stay in registers across
+// all n stored columns, each column contributes one 4-row load, and the
+// finished block goes through the post multiply and out to U once.
+// No vector type crosses the call boundary: a function with a 256-bit
+// parameter returns without vzeroupper, and a dirty upper ymm state
+// would slow every legacy-SSE instruction the thread runs afterwards.
+template <std::size_t W>
+void row_block_group(const double* const* cols, std::size_t n, std::size_t i,
+                     double s, const double* v, std::size_t ldv,
+                     const double* post, double* out, std::size_t r) {
+  const __m256d scale = _mm256_set1_pd(s);
+  __m256d acc[W];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < W; ++q) acc[q] = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < n; ++c) {
+    const __m256d a = _mm256_mul_pd(_mm256_loadu_pd(cols[c] + i), scale);
+    const double* vrow = v + c * ldv;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < W; ++q)
+      acc[q] = _mm256_add_pd(acc[q],
+                             _mm256_mul_pd(a, _mm256_broadcast_sd(vrow + q)));
   }
+  alignas(32) double tile[W][4];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < W; ++q) {
+    if (post != nullptr)
+      acc[q] = _mm256_mul_pd(acc[q], _mm256_broadcast_sd(post + q));
+    _mm256_store_pd(tile[q], acc[q]);
+  }
+  for (std::size_t l = 0; l < 4; ++l) {
+    double* orow = out + (i + l) * r;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < W; ++q) orow[q] = tile[q][l];
+  }
+}
+
+using RowBlockGroupFn = void (*)(const double* const*, std::size_t,
+                                 std::size_t, double, const double*,
+                                 std::size_t, const double*, double*,
+                                 std::size_t);
+
+constexpr RowBlockGroupFn kRowBlockGroups[kRowBlockCols] = {
+    row_block_group<1>, row_block_group<2>, row_block_group<3>,
+    row_block_group<4>, row_block_group<5>, row_block_group<6>,
+    row_block_group<7>, row_block_group<8>,
+};
+
+void avx2_row_block_matmul(const double* const* cols, std::size_t n,
+                           std::size_t lo, std::size_t hi, double scale,
+                           const double* v, std::size_t ldv, std::size_t r,
+                           const double* post, double* out) {
+  const std::size_t hi4 = hi - (hi - lo) % 4;
+  for (std::size_t i = lo; i < hi4; i += 4) {
+    for (std::size_t j0 = 0; j0 < r; j0 += kRowBlockCols) {
+      const std::size_t w = r - j0 < kRowBlockCols ? r - j0 : kRowBlockCols;
+      kRowBlockGroups[w - 1](cols, n, i, scale, v + j0, ldv,
+                             post != nullptr ? post + j0 : nullptr,
+                             out + j0, r);
+    }
+  }
+  // Rows left over after the last full vector: the scalar reference.
+  scalar_row_block_matmul(cols, n, hi4, hi, scale, v, ldv, r, post, out);
 }
 
 }  // namespace
@@ -236,7 +307,7 @@ const KernelTable& avx2_table() {
   static const KernelTable table = {
       avx2_dot,    avx2_sumsq,      avx2_dot_block, avx2_pair_dots,
       avx2_axpy,   avx2_scale,      avx2_rotate,    avx2_atb_update,
-      avx2_ab_row, avx2_col_axpy_scaled,
+      avx2_ab_row, avx2_row_block_matmul,
   };
   return table;
 }

@@ -130,12 +130,51 @@ void scalar_ab_row(const double* arow, const double* b, double* crow,
   }
 }
 
-void scalar_col_axpy_scaled(const double* col, std::size_t m, double scale,
-                            const double* vrow, std::size_t r, double* out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double a = col[i] * scale;
-    double* orow = out + i * r;
-    for (std::size_t j = 0; j < r; ++j) orow[j] += a * vrow[j];
+namespace {
+
+// One row against a group of W output columns, W ≤ kRowBlockCols. W is
+// a template argument so the accumulators are a fixed-size array the
+// compiler can keep in registers.
+template <std::size_t W>
+void row_group(const double* const* cols, std::size_t n, std::size_t i,
+               double scale, const double* v, std::size_t ldv,
+               const double* post, double* orow) {
+  double acc[W] = {};
+  for (std::size_t c = 0; c < n; ++c) {
+    const double a = cols[c][i] * scale;
+    const double* vrow = v + c * ldv;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < W; ++q) acc[q] += a * vrow[q];
+  }
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < W; ++q)
+    orow[q] = post != nullptr ? acc[q] * post[q] : acc[q];
+}
+
+using RowGroupFn = void (*)(const double* const*, std::size_t, std::size_t,
+                            double, const double*, std::size_t, const double*,
+                            double*);
+
+constexpr RowGroupFn kRowGroups[kRowBlockCols] = {
+    row_group<1>, row_group<2>, row_group<3>, row_group<4>,
+    row_group<5>, row_group<6>, row_group<7>, row_group<8>,
+};
+
+}  // namespace
+
+void scalar_row_block_matmul(const double* const* cols, std::size_t n,
+                             std::size_t lo, std::size_t hi, double scale,
+                             const double* v, std::size_t ldv, std::size_t r,
+                             const double* post, double* out) {
+  // Row-major: a row's column entries are read from memory once; a
+  // second group of outputs finds them in cache.
+  for (std::size_t i = lo; i < hi; ++i) {
+    for (std::size_t j0 = 0; j0 < r; j0 += kRowBlockCols) {
+      const std::size_t w = r - j0 < kRowBlockCols ? r - j0 : kRowBlockCols;
+      kRowGroups[w - 1](cols, n, i, scale, v + j0, ldv,
+                        post != nullptr ? post + j0 : nullptr,
+                        out + i * r + j0);
+    }
   }
 }
 
@@ -144,7 +183,7 @@ const KernelTable& scalar_table() {
       scalar_dot,     scalar_sumsq,  scalar_dot_block,
       scalar_pair_dots, scalar_axpy, scalar_scale,
       scalar_rotate,  scalar_atb_update, scalar_ab_row,
-      scalar_col_axpy_scaled,
+      scalar_row_block_matmul,
   };
   return table;
 }

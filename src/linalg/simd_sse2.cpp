@@ -90,6 +90,15 @@ void sse2_atb_update(const double* a, const double* b, double* c,
         _mm_storeu_pd(crow + j + 4, c2);
         _mm_storeu_pd(crow + j + 6, c3);
       }
+      for (; j + 2 <= n; j += 2) {
+        __m128d c0 = _mm_loadu_pd(crow + j);
+        for (std::size_t r = 0; r < panel; ++r) {
+          if (ai[r] == 0.0) continue;
+          const __m128d bv = _mm_loadu_pd(b + (lo + r) * n + j);
+          c0 = _mm_add_pd(c0, _mm_mul_pd(_mm_set1_pd(ai[r]), bv));
+        }
+        _mm_storeu_pd(crow + j, c0);
+      }
       for (; j < n; ++j) {
         double acc = crow[j];
         for (std::size_t r = 0; r < panel; ++r) {
@@ -111,12 +120,58 @@ void sse2_ab_row(const double* arow, const double* b, double* crow,
   }
 }
 
-void sse2_col_axpy_scaled(const double* col, std::size_t m, double scale,
-                          const double* vrow, std::size_t r, double* out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double a = col[i] * scale;
-    sse2_axpy(a, vrow, out + i * r, r);
+// The AVX2 tier's row-block leaf with 2-row lanes: W ≤ kRowBlockCols
+// xmm accumulators, mul then add, the post multiply after the sum.
+template <std::size_t W>
+void row_block_group(const double* const* cols, std::size_t n, std::size_t i,
+                     double s, const double* v, std::size_t ldv,
+                     const double* post, double* out, std::size_t r) {
+  const __m128d scale = _mm_set1_pd(s);
+  __m128d acc[W];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < W; ++q) acc[q] = _mm_setzero_pd();
+  for (std::size_t c = 0; c < n; ++c) {
+    const __m128d a = _mm_mul_pd(_mm_loadu_pd(cols[c] + i), scale);
+    const double* vrow = v + c * ldv;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < W; ++q)
+      acc[q] = _mm_add_pd(acc[q], _mm_mul_pd(a, _mm_set1_pd(vrow[q])));
   }
+  double* row0 = out + i * r;
+  double* row1 = row0 + r;
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < W; ++q) {
+    if (post != nullptr) acc[q] = _mm_mul_pd(acc[q], _mm_set1_pd(post[q]));
+    _mm_storel_pd(row0 + q, acc[q]);
+    _mm_storeh_pd(row1 + q, acc[q]);
+  }
+}
+
+using RowBlockGroupFn = void (*)(const double* const*, std::size_t,
+                                 std::size_t, double, const double*,
+                                 std::size_t, const double*, double*,
+                                 std::size_t);
+
+constexpr RowBlockGroupFn kRowBlockGroups[kRowBlockCols] = {
+    row_block_group<1>, row_block_group<2>, row_block_group<3>,
+    row_block_group<4>, row_block_group<5>, row_block_group<6>,
+    row_block_group<7>, row_block_group<8>,
+};
+
+void sse2_row_block_matmul(const double* const* cols, std::size_t n,
+                           std::size_t lo, std::size_t hi, double scale,
+                           const double* v, std::size_t ldv, std::size_t r,
+                           const double* post, double* out) {
+  const std::size_t hi2 = hi - (hi - lo) % 2;
+  for (std::size_t i = lo; i < hi2; i += 2) {
+    for (std::size_t j0 = 0; j0 < r; j0 += kRowBlockCols) {
+      const std::size_t w = r - j0 < kRowBlockCols ? r - j0 : kRowBlockCols;
+      kRowBlockGroups[w - 1](cols, n, i, scale, v + j0, ldv,
+                             post != nullptr ? post + j0 : nullptr,
+                             out + j0, r);
+    }
+  }
+  scalar_row_block_matmul(cols, n, hi2, hi, scale, v, ldv, r, post, out);
 }
 
 }  // namespace
@@ -127,7 +182,7 @@ const KernelTable& sse2_table() {
       scalar_dot, scalar_sumsq, scalar_dot_block, scalar_pair_dots,
       // Elementwise: 2-wide.
       sse2_axpy, sse2_scale, sse2_rotate, sse2_atb_update, sse2_ab_row,
-      sse2_col_axpy_scaled,
+      sse2_row_block_matmul,
   };
   return table;
 }

@@ -232,8 +232,11 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   // once; they are processed strictly in order, so the ρ history — and
   // the milestone that declares convergence — is a pure function of the
   // seed and configuration.
-  std::optional<esse::ErrorSubspace> converged_sub;
-  std::size_t converged_members = 0;
+  // The latest milestone's subspace and the member ids it covered: the
+  // converged forecast subspace, or the drained run's when it already
+  // covers every absorbed member.
+  std::optional<esse::ErrorSubspace> last_sub;
+  std::vector<std::size_t> last_ids;
   for (;;) {
     // Wait for fresh data, full resolution (done, or lost after its
     // retries), or a request-level cancel. The bounded wait keeps
@@ -265,21 +268,15 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
         if (c < 2) continue;
         ++acct.svd_runs;
         telemetry::ScopedTimer timer(sink, "runner.svd_s");
-        esse::ErrorSubspace sub =
-            esse::subspace_from_view(snap.data->prefix(c),
-                                     cp.variance_fraction, cp.max_rank,
-                                     nullptr, sink);
-        const auto rho = conv.update(sub, c);
+        const esse::AnomalyView checked = snap.data->prefix(c);
+        last_sub = esse::subspace_from_view(checked, cp.variance_fraction,
+                                            cp.max_rank, nullptr, sink);
+        last_ids = checked.member_ids();
+        const auto rho = conv.update(*last_sub, c);
         if (sink && rho) {
           sink->event("runner.convergence", static_cast<double>(c), *rho);
         }
-        if (conv.converged()) {
-          // The forecast subspace is the converged milestone's — never
-          // recomputed later from the racy post-cancellation member set.
-          converged_sub = std::move(sub);
-          converged_members = c;
-          break;
-        }
+        if (conv.converged()) break;
         std::lock_guard<std::mutex> lk(mu);
         orch.check_failed(avail);
       }
@@ -313,19 +310,27 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                 "graceful degradation floor: fewer surviving members than "
                 "FaultPolicy.min_members");
   out.central_forecast = std::move(central);
-  if (converged_sub) {
-    out.forecast_subspace = std::move(*converged_sub);
-    out.members_run = converged_members;
+  if (conv.converged()) {
+    // The forecast subspace is the converged milestone's — never
+    // recomputed later from the racy post-cancellation member set.
+    out.forecast_subspace = std::move(*last_sub);
+    out.members_run = last_ids.size();
   } else {
     // Drained without convergence (Nmax reached, or survivors of a
     // faulty run): fall back to every absorbed member in canonical
     // member-id order — still schedule-free, because which members
     // completed is decided by the deterministic per-(member, attempt)
-    // injection stream, not by timing.
-    out.forecast_subspace =
-        esse::subspace_from_view(differ.view(), cp.variance_fraction,
-                                 cp.max_rank, nullptr, sink);
-    out.members_run = differ.count();
+    // injection stream, not by timing. When the last milestone checked
+    // exactly these members its subspace is the same bits (same
+    // columns, same cached Gram borders), so it is reused.
+    const esse::AnomalyView all = differ.view();
+    if (last_sub && all.member_ids() == last_ids) {
+      out.forecast_subspace = std::move(*last_sub);
+    } else {
+      out.forecast_subspace = esse::subspace_from_view(
+          all, cp.variance_fraction, cp.max_rank, nullptr, sink);
+    }
+    out.members_run = all.count();
   }
   out.converged = conv.converged();
   out.convergence_history = conv.history();

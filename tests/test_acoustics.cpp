@@ -198,6 +198,67 @@ TEST(TlSolver, ValidatesParams) {
   EXPECT_THROW(compute_tl(s, p), PreconditionError);
 }
 
+// Each out-of-range TLParams field is rejected with an error that names
+// it, NaN included.
+void expect_field_rejected(const TLParams& p, const std::string& field) {
+  auto sc = scenario();
+  SoundSpeedSlice s = extract_slice(sc.grid, sc.initial,
+                                    cross_shore_slice(sc.grid));
+  try {
+    compute_tl(s, p);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const essex::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("TLParams::" + field),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TlSolver, RejectsNonPositiveBeamWidth) {
+  for (double w : {0.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    TLParams p;
+    p.beam_width_m = w;
+    expect_field_rejected(p, "beam_width_m");
+  }
+}
+
+TEST(TlSolver, RejectsMaxAngleOutsideTheForwardHalfPlane) {
+  for (double a : {0.0, -10.0, 90.0, 120.0,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    TLParams p;
+    p.max_angle_deg = a;
+    expect_field_rejected(p, "max_angle_deg");
+  }
+}
+
+TEST(TlSolver, RejectsNonPositiveMaxTl) {
+  for (double t : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    TLParams p;
+    p.max_tl_db = t;
+    expect_field_rejected(p, "max_tl_db");
+  }
+}
+
+TEST(TlSolver, RejectsNegativeBottomLoss) {
+  for (double l : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    TLParams p;
+    p.bottom_loss_db = l;
+    expect_field_rejected(p, "bottom_loss_db");
+  }
+}
+
+TEST(TlSolver, RejectsNegativeSurfaceLoss) {
+  for (double l : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    TLParams p;
+    p.surface_loss_db = l;
+    expect_field_rejected(p, "surface_loss_db");
+  }
+}
+
 TEST(TlSolver, BroadbandAveragesIntensity) {
   auto sc = scenario();
   SoundSpeedSlice s = extract_slice(sc.grid, sc.initial,

@@ -38,6 +38,26 @@ TEST(ErrorSubspace, ValidatesConstruction) {
   EXPECT_THROW(ErrorSubspace(e, {3, -1, 0}), PreconditionError);
 }
 
+TEST(ErrorSubspace, CopiesShareTheImmutableModes) {
+  Rng rng(7);
+  const ErrorSubspace a(random_orthonormal(40, 4, rng), {4, 3, 2, 1});
+  const ErrorSubspace b = a;
+  EXPECT_EQ(b.modes().data().data(), a.modes().data().data());
+  EXPECT_EQ(b.sigmas(), a.sigmas());
+  ErrorSubspace c;
+  c = a;
+  EXPECT_EQ(c.modes().data().data(), a.modes().data().data());
+  // Keeping every mode is a copy too; truncating builds new modes.
+  EXPECT_EQ(a.truncated(4).modes().data().data(), a.modes().data().data());
+  EXPECT_EQ(a.truncated(2).rank(), 2u);
+
+  const ErrorSubspace empty;
+  EXPECT_EQ(empty.dim(), 0u);
+  EXPECT_EQ(empty.rank(), 0u);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(empty.modes().empty());
+}
+
 TEST(ErrorSubspace, TotalVarianceAndFractions) {
   Rng rng(2);
   ErrorSubspace s(random_orthonormal(20, 3, rng), {2, 1, 1});

@@ -11,13 +11,22 @@
 // determinism label under each ESSEX_SIMD_LEVEL value.
 #include <gtest/gtest.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
 #include "common/proptest.hpp"
+#include "common/thread_pool.hpp"
 #include "esse/differ.hpp"
 #include "linalg/arena.hpp"
 #include "linalg/gram.hpp"
@@ -26,6 +35,7 @@
 #include "linalg/simd_impl.hpp"
 #include "linalg/svd.hpp"
 #include "testkit/generators.hpp"
+#include "testkit/reference_subspace.hpp"
 
 namespace essex::la {
 namespace {
@@ -45,6 +55,7 @@ bool bits_equal(double a, double b) {
 
 bool bits_equal(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) return false;
+  if (a.empty()) return true;  // memcmp must not see a null pointer
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
@@ -215,9 +226,9 @@ TEST(SimdExactness, AtbUpdateMatchesScalarBitwise) {
   ASSERT_TRUE(r.ok) << r.message;
 }
 
-TEST(SimdExactness, AbRowAndColAxpyMatchScalarBitwise) {
+TEST(SimdExactness, AbRowMatchesScalarBitwise) {
   tk::PropConfig cfg;
-  cfg.name = "simd ab_row / col_axpy_scaled == scalar loops";
+  cfg.name = "simd ab_row == scalar loop";
   cfg.cases = 80;
   const auto r = tk::check(cfg, gen_panel(), [&](const PanelCase& pc) {
     // ab_row: one output row of C = A·B, arow = first row of a (length p
@@ -230,24 +241,133 @@ TEST(SimdExactness, AbRowAndColAxpyMatchScalarBitwise) {
                                 pc.c.begin() + static_cast<long>(n));
     simd::detail::scalar_ab_row(pc.a.data(), brows.data(), ref_row.data(), k,
                                 n);
-    // col_axpy_scaled: one stored column against a coefficient row.
-    const std::size_t m = pc.rows, rr = pc.p;
-    std::vector<double> ref_out = pc.a;  // m×rr accumulator
-    simd::detail::scalar_col_axpy_scaled(pc.b.data(), m, 0.73, pc.c.data(),
-                                         rr, ref_out.data());
     for (const simd::Level level : all_levels()) {
-      const auto& kern = simd::kernels_for(level);
       std::vector<double> row(pc.c.begin(),
                               pc.c.begin() + static_cast<long>(n));
-      kern.ab_row(pc.a.data(), brows.data(), row.data(), k, n);
+      simd::kernels_for(level).ab_row(pc.a.data(), brows.data(), row.data(),
+                                      k, n);
       if (!bits_equal(row, ref_row)) return false;
-      std::vector<double> out = pc.a;
-      kern.col_axpy_scaled(pc.b.data(), m, 0.73, pc.c.data(), rr, out.data());
-      if (!bits_equal(out, ref_out)) return false;
     }
     return true;
   });
   ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(SimdExactness, AtbUpdateThinPathMatchesScalarBitwise) {
+  // Fewer than 16 output columns: the narrow-vector path of every tier,
+  // with whole zero rows in A and panels that end mid-way. The zero rows
+  // face infinities in B, so a lost zero-row skip shows up as NaN.
+  Rng rng(0x7417, 3);
+  for (std::size_t n = 1; n <= 19; ++n) {
+    for (const std::size_t rows : {1u, 7u, 8u, 9u, 23u, 64u}) {
+      const std::size_t p = 1 + rng.uniform_index(9);
+      std::vector<double> a(rows * p), b(rows * n), c(p * n);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const bool zero_row = r % 3 == 1;
+        for (std::size_t i = 0; i < p; ++i)
+          a[r * p + i] = zero_row || rng.uniform_index(4) == 0
+                             ? 0.0
+                             : rng.normal();
+      }
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t j = 0; j < n; ++j)
+          b[r * n + j] = r % 3 == 1 ? std::numeric_limits<double>::infinity()
+                                    : rng.normal();
+      for (auto& v : c) v = rng.normal();
+      std::vector<double> ref = c;
+      simd::detail::scalar_atb_update(a.data(), b.data(), ref.data(), rows,
+                                      p, n);
+      for (const simd::Level level : all_levels()) {
+        std::vector<double> out = c;
+        simd::kernels_for(level).atb_update(a.data(), b.data(), out.data(),
+                                            rows, p, n);
+        ASSERT_TRUE(bits_equal(out, ref))
+            << simd::level_name(level) << " n=" << n << " rows=" << rows
+            << " p=" << p;
+      }
+    }
+  }
+}
+
+// ---- U = A·V·Σ⁻¹: the row-block leaf against the frozen column loop ----
+
+TEST(SimdExactness, ColumnsMatmulMatchesTheFrozenReferenceBitwise) {
+  Rng rng(0xC015, 1);
+  ThreadPool pool(3);
+  for (std::size_t r = 1; r <= 20; ++r) {
+    for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 48u, 64u}) {
+      if (r > n) continue;
+      const std::size_t m = 1 + rng.uniform_index(70);  // any m mod 4
+      std::vector<Vector> store(n, Vector(m));
+      std::vector<ColSpan> cols;
+      for (Vector& col : store) {
+        for (double& x : col)
+          x = rng.uniform_index(6) == 0 ? 0.0 : rng.normal();
+        cols.push_back(col);
+      }
+      // Zero and negative coefficients, and one zero σ (its Σ⁻¹ is 0).
+      Matrix v(n, r + rng.uniform_index(3));
+      for (double& x : v.data())
+        x = rng.uniform_index(5) == 0 ? 0.0 : rng.normal();
+      Vector inv(r);
+      for (std::size_t j = 0; j < r; ++j)
+        inv[j] = j == r / 2 ? 0.0 : 1.0 / rng.uniform(0.1, 5.0);
+      const double scale = 1.0 / std::sqrt(static_cast<double>(n + 1));
+      const Matrix ref_plain = tk::reference_columns_matmul(cols, v, r, scale);
+      const Matrix ref = tk::reference_columns_matmul(cols, v, r, scale, inv);
+      for (const simd::Level level : all_levels()) {
+        simd::ScopedLevel force(level);
+        const std::string where = std::string(simd::level_name(level)) +
+                                  " r=" + std::to_string(r) +
+                                  " n=" + std::to_string(n) +
+                                  " m=" + std::to_string(m);
+        ASSERT_TRUE(bits_equal(columns_matmul(cols, v, r, scale).data(),
+                               ref_plain.data()))
+            << where;
+        ASSERT_TRUE(bits_equal(
+            columns_matmul(cols, v, r, scale, nullptr, inv).data(),
+            ref.data()))
+            << where;
+        // Row partitions over the pool end at any row, not on a block.
+        ASSERT_TRUE(bits_equal(
+            columns_matmul(cols, v, r, scale, &pool, inv).data(), ref.data()))
+            << where << " pooled";
+      }
+    }
+  }
+}
+
+TEST(SimdExactness, OnePassSignConventionMatchesPerColumnScan) {
+  // Hand-built edge cases: a tie between +x and -x (the first wins), a
+  // tie won by a negative entry, an all-zero column, a negative first
+  // maximum, a NaN ahead of the maximum.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Matrix> cases = {
+      Matrix{{0.5, -0.5, 0.0, -3.0, nan},
+             {-0.5, 0.5, 0.0, 2.0, -1.0},
+             {0.25, -0.25, 0.0, 3.0, 0.5}},
+      Matrix{{0.0}},
+      Matrix{{-1.0}},
+      Matrix(0, 3),
+      Matrix(4, 0),
+  };
+  Rng rng(0x5161, 2);
+  for (int t = 0; t < 40; ++t) {
+    Matrix m(1 + rng.uniform_index(60), 1 + rng.uniform_index(12));
+    for (double& x : m.data()) {
+      // Few distinct magnitudes, so ties are common.
+      x = static_cast<double>(rng.uniform_index(5)) *
+          (rng.uniform_index(2) == 0 ? -0.5 : 0.5);
+    }
+    cases.push_back(m);
+  }
+  for (const Matrix& base : cases) {
+    Matrix ref = base, got = base;
+    const std::vector<int> ref_signs =
+        tk::reference_canonicalize_column_signs(ref);
+    EXPECT_EQ(canonicalize_column_signs(got), ref_signs);
+    EXPECT_TRUE(bits_equal(got.data(), ref.data()));
+  }
 }
 
 // ---- whole-kernel cross-tier identity ----------------------------------
@@ -368,6 +488,89 @@ TEST(SimdExactness, DifferSubspaceIdenticalAcrossTiers) {
     return true;
   });
   ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(SimdExactness, SubspaceFromViewMatchesTheFrozenReferenceBitwise) {
+  tk::PropConfig cfg;
+  cfg.name = "subspace_from_view == reference_subspace_from_view";
+  cfg.cases = 12;
+  const auto gen = tk::gen_ensemble(8, 90, 4, 24);
+  ThreadPool pool(2);
+  const auto r = tk::check(cfg, gen, [&](const tk::EnsembleCase& ec) {
+    esse::Differ differ(ec.central);
+    for (std::size_t j = 0; j < ec.members.size(); ++j)
+      differ.add_member(j, ec.members[j]);
+    const esse::AnomalyView view = differ.view();
+    if (view.count() > view.state_dim) return true;  // dense path
+    for (const std::size_t max_rank : {std::size_t{0}, std::size_t{3}}) {
+      const tk::ReferenceSubspace ref =
+          tk::reference_subspace_from_view(view, 0.99, max_rank);
+      for (const simd::Level level : all_levels()) {
+        simd::ScopedLevel force(level);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const esse::ErrorSubspace got =
+              esse::subspace_from_view(view, 0.99, max_rank, p);
+          if (!bits_equal(got.sigmas(), ref.sigmas)) return false;
+          if (!bits_equal(got.modes().data(), ref.modes.data())) return false;
+        }
+      }
+    }
+    return true;
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+}
+
+// ---- AVX2 kernels leave the upper ymm state clean --------------------
+
+// XINUSE bit 2 (XGETBV with ECX = 1): the upper halves of the ymm
+// registers hold state. nullopt where the CPU cannot report it.
+std::optional<bool> avx_upper_in_use() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid_count(0xD, 1, &a, &b, &c, &d) || (a & 4u) == 0)
+    return std::nullopt;
+  unsigned lo = 0, hi = 0;
+  asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 4u) != 0;
+#else
+  return std::nullopt;
+#endif
+}
+
+TEST(SimdDispatch, Avx2KernelsReturnWithCleanUpperState) {
+  // A kernel that returns with dirty upper ymm halves makes every
+  // legacy-SSE instruction its thread runs afterwards pay a transition
+  // penalty (the baseline-compiled ocean propagator ran 2-3x slower).
+  if (simd::max_supported_level() != simd::Level::kAvx2 ||
+      !avx_upper_in_use().has_value())
+    GTEST_SKIP() << "needs AVX2 and XGETBV with ECX = 1";
+  const auto& k = simd::kernels_for(simd::Level::kAvx2);
+  const std::size_t m = 37, n = 5, r = 7;
+  std::vector<Vector> store(n, Vector(m, 0.5));
+  std::vector<const double*> cols;
+  for (const Vector& c : store) cols.push_back(c.data());
+  const Vector v(n * r, 0.25), post(r, 2.0), x(m, 1.0);
+  Vector y(m, 1.0), out(m * r), c(r * r, 0.0);
+  double d[simd::kDotBlockCols];
+  double e = 0, f = 0, g = 0;
+  k.row_block_matmul(cols.data(), n, 0, m, 0.5, v.data(), r, r, post.data(),
+                     out.data());
+  EXPECT_FALSE(*avx_upper_in_use()) << "row_block_matmul";
+  k.atb_update(out.data(), v.data(), c.data(), n, r, r);
+  EXPECT_FALSE(*avx_upper_in_use()) << "atb_update";
+  k.ab_row(x.data(), v.data(), y.data(), n, r);
+  EXPECT_FALSE(*avx_upper_in_use()) << "ab_row";
+  k.dot_block(cols.data(), n, x.data(), m, d);
+  EXPECT_FALSE(*avx_upper_in_use()) << "dot_block";
+  k.pair_dots(x.data(), y.data(), m, &e, &f, &g);
+  EXPECT_FALSE(*avx_upper_in_use()) << "pair_dots";
+  e = k.dot(x.data(), y.data(), m) + k.sumsq(x.data(), m);
+  EXPECT_FALSE(*avx_upper_in_use()) << "dot / sumsq";
+  k.axpy(0.5, x.data(), y.data(), m);
+  k.scale(y.data(), 0.5, m);
+  k.rotate(0.6, 0.8, y.data(), out.data(), m);
+  EXPECT_FALSE(*avx_upper_in_use()) << "axpy / scale / rotate";
+  EXPECT_TRUE(std::isfinite(e + f + g + d[0]));
 }
 
 // ---- aligned storage ----------------------------------------------------

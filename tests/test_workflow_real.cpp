@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
+#include "esse/repro.hpp"
 #include "obs/instruments.hpp"
 #include "ocean/monterey.hpp"
 #include "testkit/differential.hpp"
@@ -200,6 +201,45 @@ TEST_F(RunnerFixture, CancellationLeavesConsistentCounts) {
   EXPECT_EQ(sink.metrics().value("runner.svd_runs"),
             static_cast<double>(res.mtc->svd_runs));
   EXPECT_GT(sink.metrics().histogram_at("runner.member_s").count(), 0u);
+}
+
+// A run that drains without converging forecasts from every absorbed
+// member. When the last milestone already checked exactly those members
+// its subspace is reused instead of recomputed, so the differ runs one
+// subspace check per milestone and none after; otherwise (Nmax off the
+// milestone stride) it runs one more. Either way the forecast digest is
+// the one the always-recompute runner produced.
+struct DrainedCase {
+  std::size_t max_members;
+  std::size_t extra_checks;
+  const char* digest;
+};
+
+TEST_F(RunnerFixture, DrainedRunReusesTheLastMilestoneSubspace) {
+  const DrainedCase cases[] = {
+      {16, 0, "4b34203d875856516a8846e764b12da7892524ec82090be63b45a2950e976792"},
+      {14, 1, "b7c331298b7c0187fa187a8ef3397b87980684cfa89df0f7b4221484b5de56cb"},
+  };
+  for (const DrainedCase& c : cases) {
+    ParallelRunnerConfig cfg;
+    cfg.cycle.forecast_hours = 3.0;
+    cfg.cycle.threads = 2;
+    cfg.cycle.ensemble = {8, 2.0, c.max_members};
+    cfg.cycle.convergence = {1.0, 6};  // never reached: the pool drains
+    cfg.cycle.max_rank = 8;
+    cfg.svd_min_new_members = 4;
+    telemetry::Sink sink("runner-drained");
+    ForecastRequest req{*model, sc->initial, subspace, 0.0, cfg};
+    req.sink = &sink;
+    const esse::ForecastResult res = run_parallel_forecast(req);
+    ASSERT_TRUE(res.mtc.has_value());
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(res.members_run, c.max_members);
+    EXPECT_EQ(esse::forecast_digest(res), c.digest) << c.max_members;
+    EXPECT_EQ(sink.metrics().value("differ.subspace_checks"),
+              static_cast<double>(res.mtc->svd_runs + c.extra_checks))
+        << c.max_members;
+  }
 }
 
 }  // namespace
